@@ -1,0 +1,292 @@
+"""Brute-force ground truth for tiny instances.
+
+Bounded-degree kernels come from the constant left kernel of a
+block-Toeplitz coefficient matrix; Kronecker indices from a degree
+sweep of those kernel dimensions; rank from enough evaluation points
+to dodge every minor's root set; McMillan degree from exhaustive
+minors.  None of this shares logic with the lifting or order-basis
+paths, which is the point: it is the referee, not a fast path.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import FieldTooSmall, TooLarge
+from .field import NEG_INF, FieldSpec
+from .polymat import PolyMatrix, const_inv, const_kernel, const_rank, mat_mul_mod
+
+#: Default ceiling on block-Toeplitz rows; this is a test oracle.
+DEFAULT_MAX_ROWS = 4096
+
+
+@dataclass(frozen=True)
+class KroneckerProfile:
+    """Sorted minimal nullspace degrees of a matrix, with witnesses."""
+
+    indices: tuple[int, ...]
+    rank: int
+    basis: PolyMatrix | None
+
+
+def _toeplitz(m: PolyMatrix, delta: int) -> np.ndarray:
+    """Linearization of v -> v*M over rows v of degree at most delta.
+
+    Row (k, i) <-> coefficient of x^k in v_i; column (e, j) <->
+    coefficient of x^e in (v*M)_j.  Columns are degree-major so that
+    growing delta only appends rows and columns.
+    """
+    rows, cols = m.rows, m.cols
+    d = int(m.degree) if m.degree is not NEG_INF else 0
+    out = np.zeros(((delta + 1) * rows, (delta + d + 1) * cols), dtype=np.int64)
+    c = m.coeffs
+    dd = c.shape[2]
+    for k in range(delta + 1):
+        for e in range(k, k + dd):
+            out[k * rows : (k + 1) * rows, e * cols : (e + 1) * cols] = c[:, :, e - k]
+    return out
+
+
+def _delinearize(field: FieldSpec, flat: np.ndarray, m: int, delta: int) -> PolyMatrix:
+    """Rebuild polynomial rows from flattened (k, i) coefficient vectors."""
+    count = flat.shape[0]
+    out = np.zeros((count, m, delta + 1), dtype=np.int64)
+    for k in range(delta + 1):
+        out[:, :, k] = flat[:, k * m : (k + 1) * m]
+    return PolyMatrix(field, out)
+
+
+def kernel_linearized(
+    m: PolyMatrix, delta: int, *, max_rows: int = DEFAULT_MAX_ROWS
+) -> PolyMatrix:
+    """Basis of {v : deg v <= delta, v*M = 0}, as stacked polynomial rows."""
+    if delta < 0:
+        raise ValueError("degree bound must be nonnegative")
+    if m.rows * (delta + 1) > max_rows:
+        raise TooLarge(
+            f"linearized kernel would have {m.rows * (delta + 1)} rows "
+            f"(guard is {max_rows})"
+        )
+    kern = const_kernel(_toeplitz(m, delta), m.field.p)
+    return _delinearize(m.field, kern, m.rows, delta)
+
+
+def rank_oracle(m: PolyMatrix) -> int:
+    """Rank over K(x) as the max constant rank over n*d + 1 points."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    d = int(m.degree) if m.degree is not NEG_INF else 0
+    npts = m.cols * d + 1
+    if npts > m.field.p:
+        raise FieldTooSmall(f"rank oracle needs {npts} points but p = {m.field.p}")
+    best = 0
+    cap = min(m.rows, m.cols)
+    for a in range(npts):
+        best = max(best, const_rank(m.eval(a), m.field.p))
+        if best == cap:
+            break
+    return best
+
+
+class _Echelon:
+    """Incremental row echelon over F_p: feed rows, track rank, reduce."""
+
+    def __init__(self, width: int, p: int):
+        self.width = width
+        self.p = p
+        self.pivots: dict[int, np.ndarray] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, row: np.ndarray) -> np.ndarray:
+        row = row % self.p
+        while True:
+            nz = np.nonzero(row)[0]
+            if nz.size == 0:
+                return row
+            lead = int(nz[0])
+            piv = self.pivots.get(lead)
+            if piv is None:
+                return row
+            row = (row - row[lead] * piv) % self.p
+
+    def add(self, row: np.ndarray) -> bool:
+        """Insert a row; True if it increased the rank."""
+        row = self.reduce(row)
+        nz = np.nonzero(row)[0]
+        if nz.size == 0:
+            return False
+        lead = int(nz[0])
+        self.pivots[lead] = row * pow(int(row[lead]), -1, self.p) % self.p
+        return True
+
+
+def _graded_kernel_rows(m: PolyMatrix, delta: int, max_rows: int) -> np.ndarray:
+    """Kernel vectors echelonized from the high-degree end.
+
+    After this pass the rows of degree <= t span the whole degree-<=t
+    slice of the kernel, so a greedy sweep by degree sees everything.
+    """
+    if m.rows * (delta + 1) > max_rows:
+        raise TooLarge(
+            f"index sweep reached {m.rows * (delta + 1)} linearized rows "
+            f"(guard is {max_rows})"
+        )
+    kern = const_kernel(_toeplitz(m, delta), m.field.p)
+    rev = kern[:, ::-1]
+    ech = _Echelon(rev.shape[1], m.field.p)
+    kept = []
+    for row in rev:
+        reduced = ech.reduce(row)
+        if ech.add(reduced):
+            kept.append(ech.pivots[int(np.nonzero(reduced)[0][0])])
+    return np.array(kept, dtype=np.int64)[:, ::-1] if kept else kern
+
+
+def kronecker_indices(
+    m: PolyMatrix, *, include_basis: bool = True, max_rows: int = DEFAULT_MAX_ROWS
+) -> KroneckerProfile:
+    """Minimal nullspace degrees by sweeping the linearized kernel dimension.
+
+    The kernel dimension at degree bound delta grows by the number of
+    indices <= delta when delta increases by one; first differences of
+    that count locate every index.  With ``include_basis`` a minimal
+    basis is extracted greedily, lowest degrees first, skipping rows
+    already generated by shifts of earlier picks.
+    """
+    rank = rank_oracle(m)
+    target = m.rows - rank
+    field = m.field
+    if target == 0:
+        basis = PolyMatrix.zeros(field, 0, m.rows) if include_basis else None
+        return KroneckerProfile((), rank, basis)
+
+    d = int(m.degree) if m.degree is not NEG_INF else 0
+    cap = max(m.cols * d, 0)  # every index is at most n*d
+    ech = _Echelon(m.cols * (cap + d + 1), field.p)
+    indices: list[int] = []
+    rank_toeplitz = 0
+    delta_star = 0
+    c = m.coeffs
+    for delta in range(cap + 1):
+        if m.rows * (delta + 1) > max_rows:
+            raise TooLarge(
+                f"index sweep reached {m.rows * (delta + 1)} linearized rows "
+                f"(guard is {max_rows})"
+            )
+        # the m rows the Toeplitz linearization gains at this degree
+        fresh = np.zeros((m.rows, ech.width), dtype=np.int64)
+        for e in range(c.shape[2]):
+            fresh[:, (delta + e) * m.cols : (delta + e + 1) * m.cols] = c[:, :, e]
+        for row in fresh:
+            if ech.add(row):
+                rank_toeplitz += 1
+        # kernel dimension at this bound, minus what the indices found
+        # so far explain (each contributes delta - index + 1 shifts),
+        # leaves exactly the count of fresh indices equal to delta
+        dim = m.rows * (delta + 1) - rank_toeplitz
+        new = dim - sum(delta - di + 1 for di in indices)
+        indices.extend([delta] * new)
+        delta_star = delta
+        if len(indices) == target:
+            break
+    if len(indices) != target:
+        raise RuntimeError("index sweep did not converge; rank oracle inconsistent")
+
+    basis = None
+    if include_basis:
+        basis = _extract_minimal_basis(m, tuple(indices), delta_star, max_rows)
+    return KroneckerProfile(tuple(indices), rank, basis)
+
+
+def _extract_minimal_basis(
+    m: PolyMatrix, indices: tuple[int, ...], delta_star: int, max_rows: int
+) -> PolyMatrix:
+    p = m.field.p
+    flat_width = m.rows * (delta_star + 1)
+    graded = _graded_kernel_rows(m, delta_star, max_rows)
+    rows_by_degree = []
+    for row in graded:
+        nz = np.nonzero(row)[0]
+        deg = int(nz[-1]) // m.rows if nz.size else 0
+        rows_by_degree.append((deg, row))
+    rows_by_degree.sort(key=lambda t: t[0])
+
+    span = _Echelon(flat_width, p)
+    chosen: list[np.ndarray] = []
+    chosen_degs: list[int] = []
+    for deg, row in rows_by_degree:
+        if not span.reduce(row).any():
+            continue
+        chosen.append(row)
+        chosen_degs.append(deg)
+        for j in range(delta_star - deg + 1):
+            shifted = np.zeros(flat_width, dtype=np.int64)
+            shifted[j * m.rows :] = row[: flat_width - j * m.rows]
+            span.add(shifted)
+        if len(chosen) == len(indices):
+            break
+    if chosen_degs != list(indices):
+        raise RuntimeError("minimal basis extraction disagrees with the index sweep")
+    return _delinearize(m.field, np.array(chosen, dtype=np.int64), m.rows, delta_star)
+
+
+def mcmillan_degree(m: PolyMatrix, r: int, *, max_dim: int = 6) -> int:
+    """Max determinant degree over all r x r submatrices, exhaustively."""
+    from itertools import combinations
+
+    if m.rows > max_dim or m.cols > max_dim:
+        raise TooLarge(f"exhaustive minors guarded at dimension {max_dim}")
+    if r == 0:
+        return 0
+    if r > min(m.rows, m.cols):
+        raise ValueError(f"no {r}x{r} submatrices in a {m.rows}x{m.cols} matrix")
+    p = m.field.p
+    d = int(m.degree) if m.degree is not NEG_INF else 0
+    npts = r * d + 1
+    if npts > p:
+        raise FieldTooSmall(f"need {npts} points but p = {p}")
+    evals = [m.eval(a) for a in range(npts)]
+    vand = np.empty((npts, npts), dtype=np.int64)
+    vand[:, 0] = 1
+    for e in range(1, npts):
+        vand[:, e] = vand[:, e - 1] * np.arange(npts) % p
+    vinv = const_inv(vand, p)
+    best = NEG_INF
+    for rows in combinations(range(m.rows), r):
+        for cols in combinations(range(m.cols), r):
+            vals = np.array(
+                [[_det_mod(ev[np.ix_(rows, cols)], p)] for ev in evals], dtype=np.int64
+            )
+            coeffs = mat_mul_mod(vinv, vals, p)
+            nz = np.nonzero(coeffs)[0]
+            if nz.size:
+                best = max(best, int(nz[-1]))
+    return int(best) if best is not NEG_INF else 0
+
+
+def _det_mod(a: np.ndarray, p: int) -> int:
+    a = a.copy() % p
+    n = a.shape[0]
+    det = 1
+    for c in range(n):
+        piv = None
+        for r in range(c, n):
+            if a[r, c]:
+                piv = r
+                break
+        if piv is None:
+            return 0
+        if piv != c:
+            a[[c, piv]] = a[[piv, c]]
+            det = -det % p
+        det = det * int(a[c, c]) % p
+        inv = pow(int(a[c, c]), -1, p)
+        for r in range(c + 1, n):
+            if a[r, c]:
+                a[r, c:] = (a[r, c:] - a[r, c] * inv % p * a[c, c:]) % p
+    return det

@@ -137,37 +137,40 @@ WORKLOADS = {
 }
 
 
-def _random(field, rng: np.random.Generator, m: int, n: int, d: int):
-    return polynull.PolyMatrix(field, rng.integers(0, field.p, size=(m, n, d + 1)))
+def _random(lib, field, rng: np.random.Generator, m: int, n: int, d: int):
+    return lib.PolyMatrix(field, rng.integers(0, field.p, size=(m, n, d + 1)))
 
 
-def make_input(shape, field: polynull.FieldSpec, rng: np.random.Generator):
+def make_input(lib, shape, field, rng: np.random.Generator):
     if isinstance(shape, Product):
         return (
-            _random(field, rng, shape.m, shape.k, shape.d),
-            _random(field, rng, shape.k, shape.n, shape.d),
+            _random(lib, field, rng, shape.m, shape.k, shape.d),
+            _random(lib, field, rng, shape.k, shape.n, shape.d),
         )
-    left = _random(field, rng, shape.m, shape.r, shape.left)
-    right = _random(field, rng, shape.r, shape.n, shape.d - shape.left)
-    return polynull.pm_mul(left, right)
+    left = _random(lib, field, rng, shape.m, shape.r, shape.left)
+    right = _random(lib, field, rng, shape.r, shape.n, shape.d - shape.left)
+    return lib.pm_mul(left, right)
 
 
 def _rng(workload: Workload, seed: int, *index: int) -> np.random.Generator:
     return np.random.default_rng([zlib.crc32(workload.name.encode()), seed % 2**64, *index])
 
 
-def make_inputs(workload: Workload, seed: int) -> list:
-    """The pass of inputs; input i depends only on the workload, seed and i."""
-    field = polynull.FieldSpec(workload.prime)
+def make_inputs(workload: Workload, seed: int, lib=polynull) -> list:
+    """The pass of inputs; input i depends only on the workload, seed and i.
+
+    ``lib`` is the package that holds them: the tree under test, or the
+    pinned baseline, which gets equal inputs (the arithmetic is exact)."""
+    field = lib.FieldSpec(workload.prime)
     return [
-        make_input(shape, field, _rng(workload, seed, 0, i))
+        make_input(lib, shape, field, _rng(workload, seed, 0, i))
         for i, shape in enumerate(workload.shapes)
     ]
 
 
-def warmup_input(workload: Workload, seed: int):
-    field = polynull.FieldSpec(workload.prime)
-    return make_input(workload.warmup, field, _rng(workload, seed, 1))
+def warmup_input(workload: Workload, seed: int, lib=polynull):
+    field = lib.FieldSpec(workload.prime)
+    return make_input(lib, workload.warmup, field, _rng(workload, seed, 1))
 
 
 def plan_seed(workload: Workload, seed: int, call: int) -> int:
@@ -175,8 +178,8 @@ def plan_seed(workload: Workload, seed: int, call: int) -> int:
     return random.Random(f"{workload.name}:{seed}:plan:{call}").getrandbits(63)
 
 
-def call(workload: Workload, inp, plan: int):
-    """One public call, looked up at call time so a traced binding is used."""
+def call(workload: Workload, inp, plan: int, lib=polynull):
+    """One public call of ``lib``, looked up at call time so a traced binding is used."""
     if workload.kind == "pm_mul":
-        return sys.modules["polynull.polymat"].pm_mul(*inp)
-    return sys.modules["polynull.nullspace"].nullspace(inp, polynull.RandomPlan(seed=plan))
+        return sys.modules[f"{lib.__name__}.polymat"].pm_mul(*inp)
+    return sys.modules[f"{lib.__name__}.nullspace"].nullspace(inp, lib.RandomPlan(seed=plan))
