@@ -189,7 +189,7 @@ def _cmd_minimal_vectors(args) -> int:
         "basis": _basis_payload(result.vectors),
         "degrees": list(result.degrees),
         "degree_sum": sum(result.degrees),
-        "retries_used": 0,
+        "retries_used": result.retries_used,
         "certified": True,
     }
     _emit(report, args.json)

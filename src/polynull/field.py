@@ -2,8 +2,9 @@
 
 Scalars are canonical representatives in ``[0, p)`` and every reduction
 is eager, so equality is plain integer comparison.  Moduli are capped at
-31 bits so that products of two canonical values, and short sums of
-them, stay inside int64 for the numpy kernels built on top.
+31 bits: a product of two canonical values fits int64, and the float64
+matrix kernel of ``polymat`` splits entries into two 16-bit limbs, whose
+dgemm sums stay exact integers below 2^53 for inner sizes up to about 2^21.
 """
 
 from __future__ import annotations

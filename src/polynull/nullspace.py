@@ -106,6 +106,7 @@ class MinimalVectorsResult:
     vectors: PolyMatrix  # kappa x (n+p), ascending degree
     degrees: tuple[int, ...]
     s_block: PolyMatrix  # matching denominator rows from the order basis
+    retries_used: int = 0
 
 
 @dataclass(frozen=True)
@@ -260,8 +261,8 @@ def nullspace_minimal_vectors(
     with fresh randomness up to ``plan.max_retries`` times, then
     surfaces the last ``Fail``.
     """
-    result, _ = _retry(plan, lambda: _minimal_vectors_once(m, delta, plan))
-    return result
+    result, retries = _retry(plan, lambda: _minimal_vectors_once(m, delta, plan))
+    return dataclasses.replace(result, retries_used=retries)
 
 
 def _embed_rows(

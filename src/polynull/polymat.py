@@ -3,8 +3,10 @@
 A matrix is stored as an (m, n, k) int64 coefficient tensor with values
 in [0, p); slab e holds the coefficient matrix of x^e.  Constant
 matrices are plain 2-D int64 arrays.  All products route through
-``mat_mul_mod``, which splits one factor into 16-bit halves so the
-int64 accumulation of a 31-bit modulus never overflows.
+``mat_mul_mod``, an exact float64 BLAS kernel: one dgemm while
+K * (p-1)^2 < 2^53 for inner size K, else three dgemms on 16-bit limbs,
+each exact up to K = 2^53 / (2^16-1)^2 (about 2^21), with larger inner
+sizes cut into chunks.  Results return to int64 mod p.
 
 Row degrees may be shifted: the t-degree of a row v is
 max_j (deg v_j - t_j), and a matrix is row-reduced for a shift when the
@@ -24,13 +26,56 @@ from .field import NEG_INF, FieldElement, FieldSpec, Poly
 #: Per-row (or per-column) integer degree shifts.
 Shift = Sequence[int]
 
-_SPLIT = 16  # low bits peeled off before an integer matmul
+# float64 holds every integer below 2^53 exactly.  A dgemm over nonnegative
+# integer entries only ever adds nonnegative products, so every partial sum
+# it forms (with or without FMA, in any order) is at most the final sum, and
+# the product is exact when K * (largest entry)^2 < 2^53 for inner size K.
+_EXACT = 1 << 53
+_LIMB = 16
+_LIMB_MASK = (1 << _LIMB) - 1
+# Limb branch: for p < 2^31, hi = v >> 16 < 2^15 and lo = v & 0xFFFF < 2^16.
+# Its three dgemms sum at most K * (2^15-1)^2 (hi.hi), K * 2 (2^15-1)(2^16-1)
+# ([hi|lo].[lo;hi], inner size 2K) and K * (2^16-1)^2 (lo.lo); lo.lo is the
+# largest, so one limb dgemm is exact up to K = 2,097,216 (about 2^21).
+_LIMB_K_MAX = (_EXACT - 1) // _LIMB_MASK**2
 
 
 def mat_mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for int64 arrays with entries in [0, p)."""
-    hi, lo = np.divmod(a, 1 << _SPLIT)
-    return ((hi @ b % p << _SPLIT) + lo @ b) % p
+    """Exact (a @ b) mod p for int64 arrays with entries in [0, p), p < 2^31.
+
+    One float64 dgemm when K * (p-1)^2 < 2^53 for inner size K; otherwise
+    three dgemms on 16-bit limbs, over chunks of at most ``_LIMB_K_MAX``
+    inner indices, recombined mod p in int64.
+    """
+    k = a.shape[1]
+    if k * (p - 1) ** 2 < _EXACT:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+    if k <= _LIMB_K_MAX:
+        return _limb_mul(a, b, p)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, k, _LIMB_K_MAX):
+        out += _limb_mul(a[:, s : s + _LIMB_K_MAX], b[s : s + _LIMB_K_MAX], p)
+    return out % p
+
+
+def _limb_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    # a2 = [hi | lo] and b2 = [lo ; hi], so a2 @ b2 is the middle term and
+    # its blocks give hi.hi and lo.lo without further copies.
+    k = a.shape[1]
+    a2 = np.empty((a.shape[0], 2 * k))
+    a2[:, :k] = a >> _LIMB
+    a2[:, k:] = a & _LIMB_MASK
+    b2 = np.empty((2 * k, b.shape[1]))
+    b2[:k] = b & _LIMB_MASK
+    b2[k:] = b >> _LIMB
+    out = (a2[:, :k] @ b2[k:]).astype(np.int64) % p
+    out <<= _LIMB
+    out += (a2 @ b2).astype(np.int64)
+    out %= p
+    out <<= _LIMB
+    out += (a2[:, k:] @ b2[:k]).astype(np.int64)
+    out %= p
+    return out
 
 
 def _as_array(m0: np.ndarray | Sequence[Sequence[int]], p: int) -> np.ndarray:
@@ -429,19 +474,7 @@ def pm_random(m: int, n: int, d: int, field: FieldSpec, rng: random.Random) -> P
 
 
 def _mul_convolution(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    p = a.field.p
-    da, db = a.coeffs.shape[2] - 1, b.coeffs.shape[2] - 1
-    out = np.zeros((a.rows, b.cols, da + db + 1), dtype=np.int64)
-    for i in range(da + 1):
-        ai = a.coeffs[:, :, i]
-        if not ai.any():
-            continue
-        for j in range(db + 1):
-            bj = b.coeffs[:, :, j]
-            if not bj.any():
-                continue
-            out[:, :, i + j] = (out[:, :, i + j] + mat_mul_mod(ai, bj, p)) % p
-    return PolyMatrix(a.field, out)
+    return pm_mul_mod(a, b, a.coeffs.shape[2] + b.coeffs.shape[2] - 1)
 
 
 def _mul_eval_interp(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -488,7 +521,13 @@ def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 
 def pm_mul_mod(a: PolyMatrix, b: PolyMatrix, order: int) -> PolyMatrix:
-    """(a @ b) mod x^order by truncated coefficient convolution."""
+    """(a @ b) mod x^order by truncated coefficient convolution.
+
+    One ``mat_mul_mod`` call per coefficient slab of the shorter factor,
+    against the slabs of the other factor that it meets below ``order``,
+    laid side by side: O(min(ka, kb)) calls doing exactly the slab pairs
+    i + j < order, with no Toeplitz copy of either factor.
+    """
     if a.field.p != b.field.p:
         raise ModulusMismatch("mixed moduli")
     if a.cols != b.rows:
@@ -498,15 +537,29 @@ def pm_mul_mod(a: PolyMatrix, b: PolyMatrix, order: int) -> PolyMatrix:
     if order == 0 or a.is_zero() or b.is_zero():
         return PolyMatrix.zeros(a.field, a.rows, b.cols)
     p = a.field.p
-    da, db = a.coeffs.shape[2] - 1, b.coeffs.shape[2] - 1
-    k = min(order, da + db + 1)
-    out = np.zeros((a.rows, b.cols, k), dtype=np.int64)
-    for e in range(k):
-        acc = out[:, :, e]
-        for i in range(max(0, e - db), min(e, da) + 1):
-            acc = (acc + mat_mul_mod(a.coeffs[:, :, i], b.coeffs[:, :, e - i], p)) % p
-        out[:, :, e] = acc
-    return PolyMatrix(a.field, out)
+    m, s, n = a.rows, a.cols, b.cols
+    ka, kb = a.coeffs.shape[2], b.coeffs.shape[2]
+    k = min(order, ka + kb - 1)
+    out = np.zeros((k, m, n), dtype=np.int64)  # slab-major; sums of < k values below p
+    if ka <= kb:
+        wide = np.ascontiguousarray(b.coeffs.transpose(0, 2, 1))  # (s, kb, n)
+        for i in range(min(ka, k)):
+            ai = a.coeffs[:, :, i]
+            if not ai.any():
+                continue
+            cnt = min(kb, k - i)
+            prod = mat_mul_mod(ai, wide[:, :cnt].reshape(s, cnt * n), p)
+            out[i : i + cnt] += prod.reshape(m, cnt, n).transpose(1, 0, 2)
+    else:
+        tall = np.ascontiguousarray(a.coeffs.transpose(2, 0, 1))  # (ka, m, s)
+        for j in range(min(kb, k)):
+            bj = b.coeffs[:, :, j]
+            if not bj.any():
+                continue
+            cnt = min(ka, k - j)
+            prod = mat_mul_mod(tall[:cnt].reshape(cnt * m, s), bj, p)
+            out[j : j + cnt] += prod.reshape(cnt, m, n)
+    return PolyMatrix(a.field, out.transpose(1, 2, 0))
 
 
 def pm_shift_var(m: PolyMatrix, x0: int | FieldElement) -> PolyMatrix:

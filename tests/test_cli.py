@@ -82,6 +82,16 @@ class TestCommands:
         lead, other = Poly(field, row[0]), Poly(field, row[1])
         assert lead == -(other * Poly.x(field))
 
+    def test_minimal_vectors_reports_retries(self, tmp_path, capsys):
+        from polynull import FieldSpec, pm_random
+
+        # plan seed 15 fails its first attempt on this p = 101 input
+        m = pm_random(9, 3, 2, FieldSpec(101), make_rng(0))
+        path = write(tmp_path, "small.pm", serialize_matrix(m))
+        code = main(["--seed", "15", "--json", "minimal-vectors", path, "--delta", "4"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["retries_used"] == 1
+
     def test_rank_planted_fixture(self, tmp_path, capsys, field):
         from polynull import pm_mul, pm_random
 

@@ -5,6 +5,7 @@ import pytest
 
 from polynull import (
     Fail,
+    FieldSpec,
     Poly,
     PolyMatrix,
     RandomPlan,
@@ -133,6 +134,14 @@ class TestMinimalVectors:
         m = PolyMatrix.from_polys([[x, x], [one, one], [x * x, x * x]])
         with pytest.raises(SingularAtZero):
             nullspace_minimal_vectors(m, 2, RandomPlan(10, max_retries=2))
+
+    def test_retries_used_counts_failed_attempts(self):
+        # at p = 101 about 30% of attempts on 9x3 inputs fail; on this input
+        # plan seed 15 fails its first attempt and seed 36 its first two
+        m = pm_random(9, 3, 2, FieldSpec(101), make_rng(0))
+        assert nullspace_minimal_vectors(m, 4, RandomPlan(14)).retries_used == 0
+        assert nullspace_minimal_vectors(m, 4, RandomPlan(15)).retries_used == 1
+        assert nullspace_minimal_vectors(m, 4, RandomPlan(36)).retries_used == 2
 
     def test_input_validation(self, field):
         square = PolyMatrix.identity(field, 2)

@@ -18,9 +18,12 @@ from polynull import (
     rank_oracle,
     tdeg_row,
 )
-from polynull.polymat import mat_mul_mod
+from polynull.polymat import _EXACT, _LIMB_K_MAX, mat_mul_mod
 
-from conftest import make_rng, planted_rank, poly, poly_level_matmul
+from conftest import make_rng, planted_rank, poly, poly_level_matmul, schoolbook_mul
+
+# 2^21 - 9, a prime whose single-dgemm bound K * (p-1)^2 < 2^53 ends at K = 2048
+SWITCH_PRIME = 2097143
 
 
 class TestMatMulMod:
@@ -43,6 +46,50 @@ class TestMatMulMod:
         a = np.full((64, 64), p - 1, dtype=np.int64)
         got = mat_mul_mod(a, a, p)
         assert int(got[0, 0]) == 64 * (p - 1) * (p - 1) % p
+
+    @pytest.mark.parametrize("p", [2**31 - 1, 1009, 2])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_limb_bound_all_entries_top(self, p, extra):
+        k = _LIMB_K_MAX + extra
+        a = np.full((1, k), p - 1, dtype=np.int64)
+        b = np.full((k, 1), p - 1, dtype=np.int64)
+        assert int(mat_mul_mod(a, b, p)[0, 0]) == k * (p - 1) ** 2 % p
+
+    def test_chunk_past_limb_bound_is_exact(self):
+        # lo = 0xFFFF is the largest limb: one unchunked lo.lo dgemm at
+        # K = bound + 1 would sum an odd integer above 2^53 and round
+        p = 2**31 - 1
+        v = (1 << 31) - 1 - (1 << 16)
+        k = _LIMB_K_MAX + 1
+        assert k * (v & 0xFFFF) ** 2 > _EXACT and k % 2 == 1
+        a = np.full((1, k), v, dtype=np.int64)
+        b = np.full((k, 1), v, dtype=np.int64)
+        assert int(mat_mul_mod(a, b, p)[0, 0]) == k * v * v % p
+
+    @pytest.mark.parametrize("k", [2048, 2049])
+    def test_both_sides_of_single_dgemm_switch(self, k):
+        p = SWITCH_PRIME
+        assert (k * (p - 1) ** 2 < _EXACT) == (k == 2048)
+        a = np.full((2, k), p - 1, dtype=np.int64)
+        b = np.full((k, 2), p - 1, dtype=np.int64)
+        # one odd term: past the switch the exact sum is odd and above 2^53,
+        # so a single float64 dgemm could not hold it
+        a[1, 0] = b[0, 1] = p - 2
+        want = [
+            [sum(int(a[i, t]) * int(b[t, j]) for t in range(k)) % p for j in range(2)]
+            for i in range(2)
+        ]
+        if k == 2049:
+            assert (k - 1) * (p - 1) ** 2 + (p - 2) ** 2 > _EXACT
+        assert mat_mul_mod(a, b, p).tolist() == want
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 3), (2, 3, 0)])
+    def test_empty_dimensions(self, field, shape):
+        m, k, n = shape
+        a = np.zeros((m, k), dtype=np.int64)
+        b = np.zeros((k, n), dtype=np.int64)
+        got = mat_mul_mod(a, b, field.p)
+        assert got.shape == (m, n) and got.dtype == np.int64 and not got.any()
 
 
 class TestPmMul:
@@ -103,6 +150,50 @@ class TestPmMulMod:
             b = pm_random(2, 3, 4, field, rng)
             k = rng.randrange(1, 8)
             assert pm_mul_mod(a, b, k) == pm_mul(a, b).truncate(k)
+
+    @pytest.mark.parametrize("da, db", [(1, 5), (3, 3), (5, 1), (0, 4), (4, 0)])
+    def test_both_orientations_against_poly_level(self, field, da, db):
+        # da <= db loops over the slabs of a, da > db over those of b
+        rng = make_rng(100 + 10 * da + db)
+        a = pm_random(3, 4, da, field, rng)
+        b = pm_random(4, 2, db, field, rng)
+        full = poly_level_matmul(a, b)
+        for order in sorted({1, min(da, db), min(da, db) + 1, da + db, da + db + 1, da + db + 4}):
+            if order:
+                assert pm_mul_mod(a, b, order) == full.truncate(order)
+
+    def test_scalar_entries_against_schoolbook(self, field):
+        rng = make_rng(16)
+        p = field.p
+        for da, db in ((2, 6), (6, 2)):
+            fa = [rng.randrange(1, p) for _ in range(da + 1)]
+            fb = [rng.randrange(1, p) for _ in range(db + 1)]
+            a = PolyMatrix.from_polys([[Poly(field, fa)]])
+            b = PolyMatrix.from_polys([[Poly(field, fb)]])
+            want = schoolbook_mul(fa, fb, p)
+            for order in range(1, da + db + 3):
+                assert pm_mul_mod(a, b, order).poly(0, 0) == Poly(field, want[:order])
+
+    def test_all_zero_slabs(self, field):
+        rng = make_rng(17)
+        for da, db in ((2, 6), (6, 2)):
+            a = pm_random(3, 3, da, field, rng).coeffs.copy()
+            b = pm_random(3, 3, db, field, rng).coeffs.copy()
+            a[:, :, 1] = 0
+            b[:, :, 0] = 0
+            b[:, :, 2] = 0
+            a, b = PolyMatrix(field, a), PolyMatrix(field, b)
+            full = poly_level_matmul(a, b)
+            for order in (1, 2, 3, 5, da + db + 1):
+                assert pm_mul_mod(a, b, order) == full.truncate(order)
+
+    @pytest.mark.parametrize("m, s, n", [(0, 3, 2), (2, 3, 0), (2, 0, 3)])
+    def test_empty_operands(self, field, m, s, n):
+        a = PolyMatrix(field, np.ones((m, s, 3), dtype=np.int64))
+        b = PolyMatrix(field, np.ones((s, n, 2), dtype=np.int64))
+        got = pm_mul_mod(a, b, 4)
+        assert (got.rows, got.cols) == (m, n)
+        assert got.is_zero()
 
 
 class TestConstRank:
