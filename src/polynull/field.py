@@ -53,35 +53,21 @@ def is_prime(n: int) -> bool:
 
 
 class FieldSpec:
-    """A prime field F_p.
-
-    ``interpolation_budget`` declares the largest polynomial degree the
-    caller intends to multiply by evaluation/interpolation; it needs
-    2*degree + 1 distinct points, so construction rejects p below
-    2*budget + 3.
-    """
+    """A prime field F_p."""
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int = DEFAULT_PRIME, interpolation_budget: int | None = None):
+    def __init__(self, p: int = DEFAULT_PRIME):
         if not isinstance(p, int):
             raise TypeError(f"modulus must be an int, got {type(p).__name__}")
         if p.bit_length() > _MAX_MODULUS_BITS:
             raise ValueError(f"modulus {p} exceeds {_MAX_MODULUS_BITS} bits")
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        if interpolation_budget is not None and p < 2 * interpolation_budget + 3:
-            raise ValueError(
-                f"modulus {p} too small for interpolation budget "
-                f"{interpolation_budget} (needs at least {2 * interpolation_budget + 3})"
-            )
         self.p = p
 
     def element(self, value: int) -> FieldElement:
         return FieldElement(value % self.p, self)
-
-    def random_element(self, rng: random.Random) -> FieldElement:
-        return FieldElement(rng.randrange(self.p), self)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FieldSpec) and other.p == self.p

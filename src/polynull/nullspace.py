@@ -72,6 +72,8 @@ class RandomPlan:
     """
 
     def __init__(self, seed: int | None = None, max_retries: int = 4):
+        if max_retries < 0:
+            raise ValueError(f"retry budget must be nonnegative, got {max_retries}")
         if seed is None:
             seed = secrets.randbits(64)
         self.seed = seed
@@ -265,29 +267,33 @@ def nullspace_minimal_vectors(
     return dataclasses.replace(result, retries_used=retries)
 
 
-def _embed_rows(
-    vectors: PolyMatrix, positions: list[int], total_cols: int
-) -> PolyMatrix:
-    c = vectors.coeffs
-    out = np.zeros((c.shape[0], total_cols, c.shape[2]), dtype=np.int64)
-    out[:, positions, :] = c
-    return PolyMatrix(vectors.field, out)
-
-
-def _select_certified_columns(
-    stack: PolyMatrix, columns: list[int], count: int, plan: RandomPlan
-) -> list[int]:
-    """``count`` columns among ``columns`` where ``stack`` is provably independent.
-
-    Independence of the evaluated columns at one point already proves
-    independence of the polynomial columns (evaluation only loses rank).
+def _harvest(
+    conditioned: PolyMatrix,
+    top: int,
+    open_rows: list[int],
+    delta: int,
+    need: int | None,
+    plan: RandomPlan,
+) -> tuple[PolyMatrix, list[int]]:
+    """The first ``need`` minimal vectors (all, at least one, when None) of the
+    rows ``range(top) + open_rows`` of ``conditioned``, at full width, and
+    ``need`` open rows where they are independent at a random point, which
+    proves it for the polynomial columns (evaluation only loses rank).
     """
-    point = plan.field_point(stack.field, "column_select")
-    ev = stack.eval(point)[:, columns]
-    local = independent_columns(ev, stack.field.p, count)
+    positions = list(range(top)) + open_rows
+    sub = _minimal_vectors_once(conditioned.take_rows(positions), delta, plan)
+    need = sub.kappa if need is None else need
+    if sub.kappa < max(need, 1):
+        raise Fail(f"{sub.kappa} vectors under degree {delta}, needed {max(need, 1)}")
+    c = sub.vectors.coeffs[:need]
+    out = np.zeros((need, conditioned.rows, c.shape[2]), dtype=np.int64)
+    out[:, positions] = c
+    vectors = PolyMatrix(conditioned.field, out)
+    point = plan.field_point(conditioned.field, "column_select")
+    local = independent_columns(vectors.eval(point)[:, open_rows], conditioned.field.p, need)
     if local is None:
         raise IndependenceLost("could not certify enough independent columns")
-    return [columns[i] for i in local]
+    return vectors, [open_rows[i] for i in local]
 
 
 def _nullspace_2n_once(m: PolyMatrix, plan: RandomPlan) -> Nullspace2nResult:
@@ -310,21 +316,12 @@ def _nullspace_2n_once(m: PolyMatrix, plan: RandomPlan) -> Nullspace2nResult:
     while len(used) < q:
         passes += 1
         open_idx = [j for j in range(n, rows) if j not in used]
-        p_dim = len(open_idx)
-        delta = _ceil_div(2 * n * d, p_dim)
-        block = conditioned.take_rows(list(range(n)) + open_idx)
-        sub = _minimal_vectors_once(block, delta, plan)
-        if sub.kappa == 0:
-            raise Fail("no vectors under the degree threshold; conditioning failed")
-        embedded = _embed_rows(sub.vectors, list(range(n)) + open_idx, rows)
-        chosen = _select_certified_columns(embedded, open_idx, sub.kappa, plan)
+        delta = _ceil_div(2 * n * d, len(open_idx))
+        vectors, chosen = _harvest(conditioned, n, open_idx, delta, None, plan)
         used.update(chosen)
-        harvested.append(embedded)
+        harvested.append(vectors)
 
-    stack = harvested[0]
-    for part in harvested[1:]:
-        stack = vstack(stack, part)
-    result = stack.mul_const_right(q_cond)
+    result = vstack(*harvested).mul_const_right(q_cond)
     point = plan.field_point(field, "rank_certificate_2n")
     if const_rank(result.eval(point), field.p) != q:
         raise IndependenceLost("evaluation rank certificate failed")
@@ -388,30 +385,22 @@ def _nullspace_once(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
         for k in range(1, blocks + 1):
             take = 2 * r0 if k < blocks else rows - blocks * r0
             chunk = [i for i in pool if i not in used][:take]
-            positions = list(range(r0)) + chunk
-            sub = _minimal_vectors_once(conditioned.take_rows(positions), d, plan)
-            need = take - r0
-            if sub.kappa < need:
-                raise Fail(f"block {k} produced {sub.kappa} vectors, needed {need}")
-            kept = sub.vectors.take_rows(range(need))
-            embedded = _embed_rows(kept, positions, rows)
-            chosen = _select_certified_columns(embedded, chunk, need, plan)
+            vectors, chosen = _harvest(conditioned, r0, chunk, d, take - r0, plan)
             used.update(chosen)
-            harvested.append(embedded)
+            harvested.append(vectors)
         remaining = [i for i in pool if i not in used]
         last_positions = list(range(r0)) + remaining
     else:
         last_positions = list(range(rows))
-    sub2 = _nullspace_2n_once(conditioned.take_rows(last_positions), plan)
-    harvested.append(_embed_rows(sub2.rows, last_positions, rows))
+    tail = _nullspace_2n_once(conditioned.take_rows(last_positions), plan).rows.coeffs
+    embedded = np.zeros((tail.shape[0], rows, tail.shape[2]), dtype=np.int64)
+    embedded[:, last_positions] = tail
+    harvested.append(PolyMatrix(field, embedded))
 
-    stack = harvested[0]
-    for part in harvested[1:]:
-        stack = vstack(stack, part)
     uncondition = np.zeros((rows, rows), dtype=np.int64)
     uncondition[:r0] = mix
     uncondition[np.arange(r0, rows), np.arange(r0, rows)] = 1
-    basis = stack.mul_const_right(uncondition)
+    basis = vstack(*harvested).mul_const_right(uncondition)
 
     if not all(rows_annihilate(basis, m)):
         raise RankCandidateWrong("candidate basis does not annihilate the input")

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .field import NEG_INF
-from .polymat import PolyMatrix, Shift, tdeg_row
+from .polymat import PolyMatrix, Shift, row_tdegs
 from .series import SeriesMatrix
 
 
@@ -107,7 +106,7 @@ def sigma_basis(g: SeriesMatrix, order: int, t: Shift) -> SigmaBasis:
             tdegs[piv] += 1
 
     l_mat = PolyMatrix(field, basis)
-    exact = tuple(int(tdeg_row(l_mat.row_polys(i), t)) for i in range(q))
+    exact = tuple(int(d) for d in row_tdegs(l_mat, t))
     return SigmaBasis(l_mat, exact, order, tuple(t))
 
 
@@ -122,9 +121,4 @@ def select_low_rows(basis: SigmaBasis, delta: int | float) -> tuple[int, list[in
     return len(picked), picked
 
 
-def min_tdeg(basis: SigmaBasis) -> int | float:
-    """Smallest shifted row degree in the basis."""
-    return min(basis.tdegs) if basis.tdegs else NEG_INF
-
-
-__all__ = ["SigmaBasis", "sigma_basis", "select_low_rows", "min_tdeg"]
+__all__ = ["SigmaBasis", "sigma_basis", "select_low_rows"]

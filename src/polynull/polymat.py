@@ -85,31 +85,41 @@ def _as_array(m0: np.ndarray | Sequence[Sequence[int]], p: int) -> np.ndarray:
     return a % p
 
 
+def _eliminate(aug: np.ndarray, p: int, cols: int) -> list[int]:
+    """Gauss-Jordan elimination of ``aug`` in place; returns the pivot columns.
+
+    Pivots are taken in the first ``cols`` columns only, each the first
+    nonzero entry at or below the current row, so the pivot columns are
+    the rank profile, left to right.  Every row operation spans the full
+    width, so a right-hand block records the transform.
+    """
+    rows = aug.shape[0]
+    pivots: list[int] = []
+    for c in range(cols):
+        rank = len(pivots)
+        if rank == rows:
+            break
+        for piv in range(rank, rows):
+            if aug[piv, c]:
+                break
+        else:
+            continue
+        if piv != rank:
+            aug[[rank, piv]] = aug[[piv, rank]]
+        aug[rank] = aug[rank] * pow(int(aug[rank, c]), -1, p) % p
+        col = aug[:, c].copy()
+        col[rank] = 0
+        nz = np.nonzero(col)[0]
+        if nz.size:
+            aug[nz] = (aug[nz] - col[nz, None] * aug[rank]) % p
+        pivots.append(c)
+    return pivots
+
+
 def const_rank(m0: np.ndarray | Sequence[Sequence[int]], p: int) -> int:
     """Rank over F_p by Gaussian elimination."""
     a = _as_array(m0, p)
-    rows, cols = a.shape
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r, c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, c]), -1, p)
-        a[rank] = a[rank] * inv % p
-        col = a[rank + 1 :, c].copy()
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            a[rank + 1 + nz] = (a[rank + 1 + nz] - col[nz, None] * a[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(_eliminate(a, p, a.shape[1]))
 
 
 def const_kernel(m0: np.ndarray | Sequence[Sequence[int]], p: int) -> np.ndarray:
@@ -118,30 +128,9 @@ def const_kernel(m0: np.ndarray | Sequence[Sequence[int]], p: int) -> np.ndarray
     Returns a (m - rank) x m array; empty (0, m) when m0 has full row rank.
     """
     a = _as_array(m0, p)
-    rows, cols = a.shape
-    aug = np.concatenate([a, np.eye(rows, dtype=np.int64)], axis=1)
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if aug[r, c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            aug[[rank, piv]] = aug[[piv, rank]]
-        inv = pow(int(aug[rank, c]), -1, p)
-        aug[rank] = aug[rank] * inv % p
-        col = aug[:, c].copy()
-        col[rank] = 0
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            aug[nz] = (aug[nz] - col[nz, None] * aug[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return aug[rank:, cols:].copy()
+    aug = np.concatenate([a, np.eye(a.shape[0], dtype=np.int64)], axis=1)
+    rank = len(_eliminate(aug, p, a.shape[1]))
+    return aug[rank:, a.shape[1] :].copy()
 
 
 def const_inv(m0: np.ndarray, p: int) -> np.ndarray:
@@ -151,23 +140,8 @@ def const_inv(m0: np.ndarray, p: int) -> np.ndarray:
     if a.shape[1] != n:
         raise DimensionMismatch("inverse needs a square matrix")
     aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if aug[r, c]:
-                piv = r
-                break
-        if piv is None:
-            raise SingularMatrix(f"singular {n}x{n} matrix mod {p}")
-        if piv != c:
-            aug[[c, piv]] = aug[[piv, c]]
-        inv = pow(int(aug[c, c]), -1, p)
-        aug[c] = aug[c] * inv % p
-        col = aug[:, c].copy()
-        col[c] = 0
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            aug[nz] = (aug[nz] - col[nz, None] * aug[c]) % p
+    if len(_eliminate(aug, p, n)) < n:
+        raise SingularMatrix(f"singular {n}x{n} matrix mod {p}")
     return aug[:, n:].copy()
 
 
@@ -176,34 +150,9 @@ def independent_columns(m0: np.ndarray, p: int, count: int) -> list[int] | None:
 
     Scans left to right; returns None when fewer than ``count`` exist.
     """
-    if count == 0:
-        return []
     a = _as_array(m0, p)
-    rows, cols = a.shape
-    chosen: list[int] = []
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r, c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, c]), -1, p)
-        a[rank] = a[rank] * inv % p
-        col = a[:, c].copy()
-        col[rank] = 0
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            a[nz] = (a[nz] - col[nz, None] * a[rank]) % p
-        chosen.append(c)
-        rank += 1
-        if rank == count:
-            return chosen
-    return None
+    pivots = _eliminate(a, p, a.shape[1])
+    return pivots[:count] if len(pivots) >= count else None
 
 
 def const_random(m: int, n: int, field: FieldSpec, rng: random.Random) -> np.ndarray:
@@ -335,9 +284,6 @@ class PolyMatrix:
     def take_rows(self, idx: Sequence[int]) -> PolyMatrix:
         return PolyMatrix(self.field, self._c[list(idx)])
 
-    def take_cols(self, idx: Sequence[int]) -> PolyMatrix:
-        return PolyMatrix(self.field, self._c[:, list(idx)])
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> PolyMatrix:
         return PolyMatrix(self.field, self._c[np.ix_(list(row_idx), list(col_idx))])
 
@@ -455,16 +401,20 @@ def hstack(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(a.field, out, _normalized=True)
 
 
-def vstack(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    if a.field.p != b.field.p:
+def vstack(*parts: PolyMatrix) -> PolyMatrix:
+    """Rows of every part, top to bottom; at least one part."""
+    first = parts[0]
+    if any(b.field.p != first.field.p for b in parts):
         raise ModulusMismatch("mixed moduli")
-    if a.cols != b.cols:
+    if any(b.cols != first.cols for b in parts):
         raise DimensionMismatch("vstack needs equal column counts")
-    k = max(a.coeffs.shape[2], b.coeffs.shape[2])
-    out = np.zeros((a.rows + b.rows, a.cols, k), dtype=np.int64)
-    out[: a.rows, :, : a.coeffs.shape[2]] = a.coeffs
-    out[a.rows :, :, : b.coeffs.shape[2]] = b.coeffs
-    return PolyMatrix(a.field, out, _normalized=True)
+    k = max(b.coeffs.shape[2] for b in parts)
+    out = np.zeros((sum(b.rows for b in parts), first.cols, k), dtype=np.int64)
+    r = 0
+    for b in parts:
+        out[r : r + b.rows, :, : b.coeffs.shape[2]] = b.coeffs
+        r += b.rows
+    return PolyMatrix(first.field, out, _normalized=True)
 
 
 def pm_random(m: int, n: int, d: int, field: FieldSpec, rng: random.Random) -> PolyMatrix:
@@ -562,14 +512,6 @@ def pm_mul_mod(a: PolyMatrix, b: PolyMatrix, order: int) -> PolyMatrix:
     return PolyMatrix(a.field, out.transpose(1, 2, 0))
 
 
-def pm_shift_var(m: PolyMatrix, x0: int | FieldElement) -> PolyMatrix:
-    return m.shift_var(x0)
-
-
-def pm_eval(m: PolyMatrix, a: int | FieldElement) -> np.ndarray:
-    return m.eval(a)
-
-
 # -- shifted degrees and row reduction --------------------------------
 
 
@@ -586,6 +528,18 @@ def tdeg_row(v: Sequence[Poly], t: Shift) -> Union[int, float]:
     return best
 
 
+def row_tdegs(n: PolyMatrix, t: Shift) -> np.ndarray:
+    """Shifted degree of every row, as floats; NEG_INF for a zero row.
+
+    Same values as ``tdeg_row`` on each row, read off the coefficient tensor.
+    """
+    c = n.coeffs
+    nz = c != 0
+    # index of the last nonzero coefficient of each entry
+    deg = np.where(nz.any(axis=2), c.shape[2] - 1 - np.argmax(nz[:, :, ::-1], axis=2), NEG_INF)
+    return np.max(deg - np.asarray(t, dtype=np.int64), axis=1, initial=NEG_INF)
+
+
 def leading_row_matrix(n: PolyMatrix, t: Shift | None = None) -> np.ndarray:
     """Matrix of t-leading coefficients, one row per matrix row.
 
@@ -596,15 +550,15 @@ def leading_row_matrix(n: PolyMatrix, t: Shift | None = None) -> np.ndarray:
         t = [0] * n.cols
     if len(t) != n.cols:
         raise DimensionMismatch("shift length does not match column count")
-    out = np.zeros((n.rows, n.cols), dtype=np.int64)
-    for i in range(n.rows):
-        row = n.row_polys(i)
-        td = tdeg_row(row, t)
-        if td == NEG_INF:
-            raise ValueError(f"row {i} is zero; leading matrix undefined")
-        for j, f in enumerate(row):
-            out[i, j] = f.coefficient(int(td) + t[j])
-    return out
+    td = row_tdegs(n, t)
+    zero = np.flatnonzero(td == NEG_INF)
+    if zero.size:
+        raise ValueError(f"row {zero[0]} is zero; leading matrix undefined")
+    k = n.coeffs.shape[2]
+    idx = td.astype(np.int64)[:, None] + np.asarray(t, dtype=np.int64)
+    inside = (idx >= 0) & (idx < k)
+    lead = np.take_along_axis(n.coeffs, np.clip(idx, 0, k - 1)[:, :, None], axis=2)[:, :, 0]
+    return np.where(inside, lead, 0)
 
 
 def is_row_reduced(n: PolyMatrix, t: Shift | None = None) -> bool:

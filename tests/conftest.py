@@ -59,3 +59,35 @@ def planted_rank(field, m, n, r, d, rng):
         return PolyMatrix.zeros(field, m, n)
     dl = rng.randrange(d + 1)
     return pm_mul(pm_random(m, r, dl, field, rng), pm_random(r, n, d - dl, field, rng))
+
+
+def gauss_jordan(a, p):
+    """Reference reduced row echelon form over F_p on Python ints.
+
+    Takes a 2-D array; returns (reduced rows as lists, pivot columns).
+    """
+    rows = [[int(x) % p for x in row] for row in a.tolist()]
+    pivots = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def int_matmul(a, b, p):
+    """(a @ b) mod p of two 2-D arrays on Python ints, as a list of rows."""
+    al, bl = a.tolist(), b.tolist()
+    return [
+        [sum(al[i][t] * bl[t][j] for t in range(a.shape[1])) % p for j in range(b.shape[1])]
+        for i in range(a.shape[0])
+    ]

@@ -168,6 +168,14 @@ class TestCommands:
             main(["definitely-not-a-command"])
         assert exc.value.code == 2
 
+    def test_negative_retry_budget_is_usage_error(self, tmp_path, capsys):
+        path = write(tmp_path, "id2.pm", HEADER.format(rows=2, cols=2) + "\n0 0 : 1\n1 1 : 1\n")
+        assert main(["--max-retries", "-1", "nullspace", path]) == 2
+        err = capsys.readouterr().err
+        assert "retry budget" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_incompatible_shapes_exit_cleanly(self, tmp_path, capsys):
         tall = HEADER.format(rows=4, cols=2) + "\n0 0 : 1\n1 1 : 1\n2 0 : 0 1\n"
         path = write(tmp_path, "tall.pm", tall)

@@ -1,0 +1,92 @@
+"""Property tests of the one Gauss-Jordan routine behind const_rank,
+independent_columns, const_kernel and const_inv, against a pure-int reference."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polynull import DimensionMismatch, SingularMatrix, const_kernel, const_rank
+from polynull.polymat import const_inv, independent_columns
+
+from conftest import gauss_jordan, int_matmul
+
+PRIMES = (2, 3, 1009, 2**31 - 1)
+
+
+@st.composite
+def matrices(draw):
+    """(p, a): a 0..6 x 0..6 matrix mod p, often rank-deficient."""
+    p = draw(st.sampled_from(PRIMES))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("entries", "low-rank", "zero", "all-max")))
+    if kind == "zero":
+        return p, np.zeros((m, n), dtype=np.int64)
+    if kind == "all-max":
+        return p, np.full((m, n), p - 1, dtype=np.int64)
+    entry = st.one_of(st.integers(0, p - 1), st.sampled_from((0, 1, p - 1)))
+
+    def block(rows, cols):
+        return np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
+                        dtype=np.int64).reshape(rows, cols)
+
+    if kind == "entries":
+        return p, block(m, n)
+    r = draw(st.integers(0, min(m, n)))
+    return p, np.array(int_matmul(block(m, r), block(r, n), p), dtype=np.int64).reshape(m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rank_and_pivot_columns(case):
+    p, a = case
+    before = a.copy()
+    _, pivots = gauss_jordan(a, p)
+    assert const_rank(a, p) == len(pivots)
+    for count in range(a.shape[1] + 2):
+        want = pivots[:count] if count <= len(pivots) else None
+        assert independent_columns(a, p, count) == want
+    assert np.array_equal(a, before)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_kernel_rows(case):
+    p, a = case
+    m = a.shape[0]
+    rank = len(gauss_jordan(a, p)[1])
+    kern = const_kernel(a, p)
+    assert kern.shape == (m - rank, m)
+    assert not any(any(row) for row in int_matmul(kern, a, p))
+    assert len(gauss_jordan(kern, p)[1]) == m - rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_inverse(case):
+    p, a = case
+    m, n = a.shape
+    if m != n:
+        with pytest.raises(DimensionMismatch):
+            const_inv(a, p)
+    elif len(gauss_jordan(a, p)[1]) < n:
+        with pytest.raises(SingularMatrix):
+            const_inv(a, p)
+    else:
+        assert int_matmul(const_inv(a, p), a, p) == np.eye(n, dtype=np.int64).tolist()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_edge_shapes(p):
+    for m, n in ((0, 4), (4, 0), (0, 0)):
+        a = np.zeros((m, n), dtype=np.int64)
+        assert const_rank(a, p) == 0
+        assert const_kernel(a, p).shape == (m, m)
+        assert independent_columns(a, p, 0) == []
+        assert independent_columns(a, p, 1) is None
+    assert const_inv(np.zeros((0, 0), dtype=np.int64), p).shape == (0, 0)
+    full = np.full((3, 3), p - 1, dtype=np.int64)
+    assert const_rank(full, p) == 1
+    assert independent_columns(full, p, 1) == [0]
+    with pytest.raises(SingularMatrix):
+        const_inv(full, p)

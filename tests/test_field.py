@@ -32,11 +32,6 @@ class TestFieldSpec:
         with pytest.raises(ValueError, match="31 bits"):
             FieldSpec(2**61 - 1)
 
-    def test_interpolation_budget(self):
-        FieldSpec(23, interpolation_budget=10)
-        with pytest.raises(ValueError, match="interpolation budget"):
-            FieldSpec(19, interpolation_budget=10)
-
     def test_default_prime_is_word_size(self, field):
         assert field.p == 2**31 - 1
 

@@ -331,6 +331,14 @@ class TestRandomPlan:
         plan = RandomPlan()
         assert isinstance(plan.seed, int)
 
+    def test_negative_retry_budget_rejected(self):
+        with pytest.raises(ValueError, match="retry budget"):
+            RandomPlan(1, max_retries=-1)
+
+    def test_zero_retry_budget_runs_one_attempt(self, field):
+        m = pm_random(3, 2, 1, field, make_rng(4))
+        assert nullspace(m, RandomPlan(3, max_retries=0)).retries_used == 0
+
     def test_retries_surface_last_failure(self, field):
         x = Poly.x(field)
         one = Poly.one(field)

@@ -12,13 +12,14 @@ from polynull import (
     const_kernel,
     const_rank,
     is_row_reduced,
+    leading_row_matrix,
     pm_mul,
     pm_mul_mod,
     pm_random,
     rank_oracle,
     tdeg_row,
 )
-from polynull.polymat import _EXACT, _LIMB_K_MAX, mat_mul_mod
+from polynull.polymat import _EXACT, _LIMB_K_MAX, mat_mul_mod, row_tdegs
 
 from conftest import make_rng, planted_rank, poly, poly_level_matmul, schoolbook_mul
 
@@ -273,6 +274,80 @@ class TestRowReduced:
         m = pm_random(3, 3, 2, field, rng)
         perm = np.eye(3, dtype=np.int64)[[2, 0, 1]]
         assert is_row_reduced(m) == is_row_reduced(m.mul_const_left(perm))
+
+
+def reference_leading(m, t):
+    """Leading matrix read from Poly rows through tdeg_row."""
+    out = np.zeros((m.rows, m.cols), dtype=np.int64)
+    for i in range(m.rows):
+        td = tdeg_row(m.row_polys(i), t)
+        for j in range(m.cols):
+            out[i, j] = m.poly(i, j).coefficient(int(td) + t[j])
+    return out
+
+
+class TestTensorDegrees:
+    """row_tdegs, leading_row_matrix and is_row_reduced against Poly rows."""
+
+    def test_random_shifts_match_poly_rows(self):
+        rng = make_rng(20)
+        for p in (2, 1009, 2**31 - 1):
+            field = FieldSpec(p)
+            for _ in range(40):
+                rows, cols, k = rng.randrange(1, 5), rng.randrange(1, 5), rng.randrange(1, 5)
+                c = np.array([rng.randrange(p) for _ in range(rows * cols * k)])
+                c = c.reshape(rows, cols, k)
+                c[np.array([rng.random() < 0.4 for _ in range(rows * cols)]).reshape(rows, cols)] = 0
+                m = PolyMatrix(field, c)
+                t = [rng.randrange(-4, 5) for _ in range(cols)]
+                want = [tdeg_row(m.row_polys(i), t) for i in range(rows)]
+                assert row_tdegs(m, t).tolist() == want
+                if NEG_INF in want:
+                    zero = want.index(NEG_INF)
+                    with pytest.raises(ValueError, match=f"row {zero} is zero"):
+                        leading_row_matrix(m, t)
+                    continue
+                lead = leading_row_matrix(m, t)
+                assert np.array_equal(lead, reference_leading(m, t))
+                assert is_row_reduced(m, t) == (const_rank(lead, p) == rows)
+
+    def test_leading_index_outside_stored_slabs(self, field):
+        # row 0 is [x^2, x^2]: the non-leading column reads x^7 (t = [0, 5])
+        # or x^7 again (t = [-5, 0]), past the k = 3 stored slabs, so 0 and
+        # not the stored x^2 coefficient; row 1's zero entry reads x^-5
+        sq = poly(field, 0, 0, 1)
+        m = PolyMatrix.from_polys([[sq, sq], [Poly.zero(field), poly(field, 3)]])
+        assert m.coeffs.shape[2] == 3
+        assert leading_row_matrix(m, [0, 5]).tolist() == [[1, 0], [0, 3]]
+        assert leading_row_matrix(m, [-5, 0]).tolist() == [[1, 0], [0, 3]]
+        for t in ([0, 5], [-5, 0]):
+            assert np.array_equal(leading_row_matrix(m, t), reference_leading(m, t))
+
+    def test_zero_row_named(self, field):
+        m = PolyMatrix.from_polys(
+            [[Poly.x(field), Poly.one(field)], [Poly.zero(field), Poly.zero(field)]]
+        )
+        with pytest.raises(ValueError, match="row 1 is zero"):
+            leading_row_matrix(m, [1, 0])
+        with pytest.raises(ValueError, match="row 1 is zero"):
+            is_row_reduced(m)
+
+    def test_no_rows(self, field):
+        m = PolyMatrix(field, np.zeros((0, 3, 1), dtype=np.int64))
+        assert is_row_reduced(m, [0, 1, 2])
+        assert leading_row_matrix(m, [0, 1, 2]).shape == (0, 3)
+        assert row_tdegs(m, [0, 1, 2]).shape == (0,)
+
+    def test_one_slab_matrix(self, field):
+        m = PolyMatrix.from_const(field, np.array([[1, 2, 0], [0, 0, 5], [4, 0, 0]]))
+        assert m.coeffs.shape[2] == 1
+        assert np.array_equal(leading_row_matrix(m), m.coeffs[:, :, 0])
+        assert is_row_reduced(m)
+        t = [0, 1, 2]
+        # tdeg picks the entry with the smallest shift; larger shifts read x^(>0) = 0
+        assert row_tdegs(m, t).tolist() == [0, -2, 0]
+        assert leading_row_matrix(m, t).tolist() == [[1, 0, 0], [0, 0, 5], [4, 0, 0]]
+        assert np.array_equal(leading_row_matrix(m, t), reference_leading(m, t))
 
 
 class TestEntrywiseOps:
