@@ -290,10 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MatrixParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (MatrixParseError, OSError, UnicodeDecodeError) as exc:
+        # an unreadable input file is a parse error, never a failed verification
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Fail as exc:

@@ -1,7 +1,10 @@
 """Arithmetic over a prime field F_p and dense univariate polynomials.
 
-Scalars are canonical representatives in ``[0, p)`` and every reduction
-is eager, so equality is plain integer comparison.  Moduli are capped at
+Scalars are plain ints, canonical representatives in ``[0, p)``, and every
+reduction is eager, so equality is plain integer comparison.  ``Poly``
+carries matrix entries in and out (I/O, reports); its schoolbook product
+is the scalar reference that polynomial-matrix products are checked
+against, not a path the library multiplies by.  Moduli are capped at
 31 bits: a product of two canonical values fits int64, and the float64
 matrix kernel of ``polymat`` splits entries into two 16-bit limbs, whose
 dgemm sums stay exact integers below 2^53 for inner sizes up to about 2^21.
@@ -66,9 +69,6 @@ class FieldSpec:
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
 
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(value % self.p, self)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FieldSpec) and other.p == self.p
 
@@ -84,67 +84,6 @@ def _check_same_field(a: FieldSpec, b: FieldSpec) -> None:
         raise ModulusMismatch(f"mixed moduli {a.p} and {b.p}")
 
 
-class FieldElement:
-    """Canonical residue in ``[0, p)``."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: FieldSpec):
-        self.value = value % field.p
-        self.field = field
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        _check_same_field(self.field, other.field)
-        s = self.value + other.value
-        p = self.field.p
-        return FieldElement(s - p if s >= p else s, self.field)
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        _check_same_field(self.field, other.field)
-        return FieldElement(self.value - other.value, self.field)
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        _check_same_field(self.field, other.field)
-        return FieldElement(self.value * other.value % self.field.p, self.field)
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(-self.value, self.field)
-
-    def inverse(self) -> FieldElement:
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return FieldElement(pow(self.value, -1, self.field.p), self.field)
-
-    def __truediv__(self, other: FieldElement) -> FieldElement:
-        return self * other.inverse()
-
-    def __pow__(self, k: int) -> FieldElement:
-        if k < 0:
-            return self.inverse() ** (-k)
-        return FieldElement(pow(self.value, k, self.field.p), self.field)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.value == other.value and self.field.p == other.field.p
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.field.p))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"
-
-
-# Below this degree schoolbook multiplication beats Karatsuba.
-_KARATSUBA_CUTOFF = 32
-
-
 def _mul_school(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -155,36 +94,6 @@ def _mul_school(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
         # periodic reduction keeps the accumulators word-size
         if i % 8 == 7:
             out = [c % p for c in out]
-    return [c % p for c in out]
-
-
-def _mul_karatsuba(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    if n <= _KARATSUBA_CUTOFF:
-        return _mul_school(a, b, p)
-    h = n // 2
-    a0, a1 = list(a[:h]), list(a[h:])
-    b0, b1 = list(b[:h]), list(b[h:])
-    if not a1 or not b1:
-        return _mul_school(a, b, p)
-    z0 = _mul_karatsuba(a0, b0, p) if a0 and b0 else []
-    z2 = _mul_karatsuba(a1, b1, p)
-    sa = [(x + y) % p for x, y in zip(a0 + [0] * max(0, len(a1) - len(a0)),
-                                      a1 + [0] * max(0, len(a0) - len(a1)))]
-    sb = [(x + y) % p for x, y in zip(b0 + [0] * max(0, len(b1) - len(b0)),
-                                      b1 + [0] * max(0, len(b0) - len(b1)))]
-    z1 = _mul_karatsuba(sa, sb, p) if sa and sb else []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] += c
-    for i, c in enumerate(z1):
-        out[i + h] += c
-    for i, c in enumerate(z0):
-        out[i + h] -= c
-    for i, c in enumerate(z2):
-        out[i + h] -= c
-    for i, c in enumerate(z2):
-        out[i + 2 * h] += c
     return [c % p for c in out]
 
 
@@ -258,7 +167,7 @@ class Poly:
         _check_same_field(self.field, other.field)
         if not self.coeffs or not other.coeffs:
             return Poly.zero(self.field)
-        return Poly(self.field, _mul_karatsuba(self.coeffs, other.coeffs, self.field.p))
+        return Poly(self.field, _mul_school(self.coeffs, other.coeffs, self.field.p))
 
     def scale(self, c: int) -> Poly:
         c %= self.field.p
@@ -270,7 +179,7 @@ class Poly:
             raise ValueError("truncation order must be nonnegative")
         return Poly(self.field, self.coeffs[:order])
 
-    def shift_var(self, x0: int | FieldElement) -> Poly:
+    def shift_var(self, x0: int) -> Poly:
         """Substitute x -> x + x0; degree is preserved."""
         a = int(x0) % self.field.p
         if a == 0 or not self.coeffs:
@@ -287,13 +196,13 @@ class Poly:
             out = nxt
         return Poly(self.field, out)
 
-    def __call__(self, a: int | FieldElement) -> FieldElement:
-        """Horner evaluation at a field point."""
+    def __call__(self, a: int) -> int:
+        """Horner evaluation at a field point; a residue in [0, p)."""
         v = int(a) % self.field.p
         acc = 0
         for c in reversed(self.coeffs):
             acc = (acc * v + c) % self.field.p
-        return FieldElement(acc, self.field)
+        return acc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):

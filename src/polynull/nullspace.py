@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     Fail,
     IndependenceLost,
     KappaMismatch,
@@ -52,7 +51,6 @@ from .polymat import (
     hstack,
     independent_columns,
     is_row_reduced,
-    pm_mul,
     pm_mul_mod,
     pm_random,
     vstack,
@@ -148,33 +146,12 @@ def _degree_int(m: PolyMatrix) -> int:
 def rows_annihilate(rows: PolyMatrix, m: PolyMatrix) -> list[bool]:
     """Exact per-row test of row @ m == 0.
 
-    Large-degree rows are split into degree-d slabs stacked into one
-    matrix so the whole test costs a single product of degree-d
-    matrices instead of one high-degree product per row.
+    One product ``pm_mul_mod`` at full order: a kernel call per slab of
+    the shorter factor, each over all rows at once.
     """
-    count = rows.rows
-    if count == 0:
-        return []
-    if rows.cols != m.rows:
-        raise DimensionMismatch(
-            f"rows have length {rows.cols} but matrix has {m.rows} rows"
-        )
-    p = m.field.p
-    slab = _degree_int(m) + 1
-    c = rows.coeffs
-    k = c.shape[2]
-    nslabs = _ceil_div(k, slab)
-    stacked = np.zeros((count * nslabs, rows.cols, slab), dtype=np.int64)
-    for t in range(nslabs):
-        chunk = c[:, :, t * slab : (t + 1) * slab]
-        stacked[t * count : (t + 1) * count, :, : chunk.shape[2]] = chunk
-    prod = pm_mul(PolyMatrix(m.field, stacked), m)
-    pc = prod.coeffs
-    acc = np.zeros((count, m.cols, (nslabs - 1) * slab + pc.shape[2]), dtype=np.int64)
-    for t in range(nslabs):
-        acc[:, :, t * slab : t * slab + pc.shape[2]] += pc[t * count : (t + 1) * count]
-    acc %= p
-    return [not acc[i].any() for i in range(count)]
+    order = rows.coeffs.shape[2] + m.coeffs.shape[2] - 1
+    prod = pm_mul_mod(rows, m, order).coeffs
+    return (~prod.any(axis=(1, 2))).tolist()
 
 
 def _reconstruction_order(delta: int, d: int, n: int, p: int) -> int:
@@ -202,7 +179,7 @@ def _minimal_vectors_once(
     d = _degree_int(m)
 
     q_cond = plan.constant(rows, rows, field, "Q")
-    shifted = m.mul_const_left(q_cond)
+    shifted = PolyMatrix.from_const(field, q_cond) @ m
     x0 = plan.field_point(field, "x0")
     shifted = shifted.shift_var(x0)
     a_block = shifted.block(0, n, 0, n)
@@ -234,7 +211,7 @@ def _minimal_vectors_once(
     s_rows = basis.L.submatrix(picked, range(c_dim, c_dim + p_dim))
     left_part = pm_mul_mod(s_rows, expansion.matrix, delta + 1)
     candidates = hstack(left_part, -s_rows.truncate(delta + 1))
-    candidates = candidates.shift_var(-x0).mul_const_right(q_cond)
+    candidates = candidates.shift_var(-x0) @ PolyMatrix.from_const(field, q_cond)
 
     flags = rows_annihilate(candidates, m)
     if sum(flags) != kappa:
@@ -305,7 +282,7 @@ def _nullspace_2n_once(m: PolyMatrix, plan: RandomPlan) -> Nullspace2nResult:
     d = _degree_int(m)
 
     q_cond = plan.constant(rows, rows, field, "Q2n")
-    conditioned = m.mul_const_left(q_cond)
+    conditioned = PolyMatrix.from_const(field, q_cond) @ m
     x0 = plan.field_point(field, "x0_2n")
     if const_rank(conditioned.block(0, n, 0, n).eval(x0), field.p) < n:
         raise SingularAtZero("top block evaluated singular; rank is probably below n")
@@ -321,7 +298,7 @@ def _nullspace_2n_once(m: PolyMatrix, plan: RandomPlan) -> Nullspace2nResult:
         used.update(chosen)
         harvested.append(vectors)
 
-    result = vstack(*harvested).mul_const_right(q_cond)
+    result = vstack(*harvested) @ PolyMatrix.from_const(field, q_cond)
     point = plan.field_point(field, "rank_certificate_2n")
     if const_rank(result.eval(point), field.p) != q:
         raise IndependenceLost("evaluation rank certificate failed")
@@ -351,7 +328,7 @@ def monte_carlo_rank_compress(
     x0 = plan.field_point(m.field, "rank_probe")
     r0 = const_rank(m.eval(x0), m.field.p)
     right = plan.constant(m.cols, r0, m.field, "R")
-    return r0, m.mul_const_right(right), right
+    return r0, m @ PolyMatrix.from_const(m.field, right), right
 
 
 def _nullspace_once(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
@@ -370,7 +347,7 @@ def _nullspace_once(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
 
     # make the top r0 x r0 block nonsingular, touching only the top rows
     mix = plan.constant(r0, rows, field, "Qc")
-    top = compressed.mul_const_left(mix)
+    top = PolyMatrix.from_const(field, mix) @ compressed
     conditioned = vstack(top, compressed.take_rows(range(r0, rows)))
     probe = plan.field_point(field, "conditioning_probe")
     if const_rank(conditioned.block(0, r0, 0, r0).eval(probe), field.p) < r0:
@@ -400,7 +377,7 @@ def _nullspace_once(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
     uncondition = np.zeros((rows, rows), dtype=np.int64)
     uncondition[:r0] = mix
     uncondition[np.arange(r0, rows), np.arange(r0, rows)] = 1
-    basis = vstack(*harvested).mul_const_right(uncondition)
+    basis = vstack(*harvested) @ PolyMatrix.from_const(field, uncondition)
 
     if not all(rows_annihilate(basis, m)):
         raise RankCandidateWrong("candidate basis does not annihilate the input")

@@ -20,8 +20,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, FieldTooSmall, ModulusMismatch, SingularMatrix
-from .field import NEG_INF, FieldElement, FieldSpec, Poly
+from .errors import DimensionMismatch, ModulusMismatch, SingularMatrix
+from .field import NEG_INF, FieldSpec, Poly
 
 #: Per-row (or per-column) integer degree shifts.
 Shift = Sequence[int]
@@ -160,15 +160,6 @@ def const_random(m: int, n: int, field: FieldSpec, rng: random.Random) -> np.nda
     return np.array(data, dtype=np.int64).reshape(m, n)
 
 
-def _eval_grid(field: FieldSpec, npoints: int) -> np.ndarray:
-    # Deterministic grid 0, 1, 2, ...; needs npoints distinct residues.
-    if npoints > field.p:
-        raise FieldTooSmall(
-            f"need {npoints} distinct evaluation points but p = {field.p}"
-        )
-    return np.arange(npoints, dtype=np.int64)
-
-
 def _power_table(points: np.ndarray, degree: int, p: int) -> np.ndarray:
     """(len(points), degree + 1) table of point powers mod p."""
     table = np.empty((points.size, degree + 1), dtype=np.int64)
@@ -252,10 +243,6 @@ class PolyMatrix:
     def row_polys(self, i: int) -> list[Poly]:
         return [self.poly(i, j) for j in range(self.cols)]
 
-    def entry_degree(self, i: int, j: int) -> Union[int, float]:
-        nz = np.nonzero(self._c[i, j])[0]
-        return int(nz[-1]) if nz.size else NEG_INF
-
     def row_degree(self, i: int) -> Union[int, float]:
         nz = np.nonzero(self._c[i])
         return int(nz[1].max()) if nz[0].size else NEG_INF
@@ -327,28 +314,7 @@ class PolyMatrix:
             return PolyMatrix.zeros(self.field, self.rows, self.cols)
         return PolyMatrix(self.field, self._c[:, :, :order])
 
-    def mul_const_left(self, q: np.ndarray) -> PolyMatrix:
-        """q @ self for a constant matrix q."""
-        a = _as_array(q, self.field.p)
-        if a.shape[1] != self.rows:
-            raise DimensionMismatch("constant factor has wrong width")
-        k = self._c.shape[2]
-        flat = self._c.reshape(self.rows, self.cols * k)
-        out = mat_mul_mod(a, flat, self.field.p).reshape(a.shape[0], self.cols, k)
-        return PolyMatrix(self.field, out)
-
-    def mul_const_right(self, q: np.ndarray) -> PolyMatrix:
-        """self @ q for a constant matrix q."""
-        a = _as_array(q, self.field.p)
-        if a.shape[0] != self.cols:
-            raise DimensionMismatch("constant factor has wrong height")
-        k = self._c.shape[2]
-        # move the coefficient axis out of the way: (k*m, n) @ (n, n')
-        flat = np.ascontiguousarray(self._c.transpose(2, 0, 1)).reshape(k * self.rows, self.cols)
-        out = mat_mul_mod(flat, a, self.field.p).reshape(k, self.rows, a.shape[1])
-        return PolyMatrix(self.field, np.ascontiguousarray(out.transpose(1, 2, 0)))
-
-    def shift_var(self, x0: int | FieldElement) -> PolyMatrix:
+    def shift_var(self, x0: int) -> PolyMatrix:
         """Substitute x -> x + x0 in every entry."""
         a = int(x0) % self.field.p
         if a == 0 or self.is_zero():
@@ -365,7 +331,7 @@ class PolyMatrix:
         out = mat_mul_mod(flat, trans, p).reshape(self.rows, self.cols, k)
         return PolyMatrix(self.field, out)
 
-    def eval(self, a: int | FieldElement) -> np.ndarray:
+    def eval(self, a: int) -> np.ndarray:
         """Constant matrix self(a), by Horner over coefficient slabs."""
         v = int(a) % self.field.p
         p = self.field.p
@@ -423,15 +389,11 @@ def pm_random(m: int, n: int, d: int, field: FieldSpec, rng: random.Random) -> P
     return PolyMatrix(field, np.array(data, dtype=np.int64).reshape(m, n, d + 1))
 
 
-def _mul_convolution(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return pm_mul_mod(a, b, a.coeffs.shape[2] + b.coeffs.shape[2] - 1)
-
-
 def _mul_eval_interp(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     p = a.field.p
     da, db = a.coeffs.shape[2] - 1, b.coeffs.shape[2] - 1
     npts = da + db + 1
-    pts = _eval_grid(a.field, npts)
+    pts = np.arange(npts, dtype=np.int64)  # distinct mod p: pm_mul sends npts > p elsewhere
     va = _power_table(pts, da, p)  # (npts, da+1)
     vb = _power_table(pts, db, p)
     evals_a = mat_mul_mod(a.coeffs.reshape(-1, da + 1), va.T, p)  # (m*kin, npts)
@@ -448,11 +410,13 @@ def _mul_eval_interp(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 
 def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Exact product, by evaluation/interpolation on the grid 0, 1, 2, ...
+    """Exact product.
 
-    Falls back to coefficient convolution when the field has fewer
-    points than the product degree requires.  Constant factors take a
-    direct slab path.
+    Evaluation/interpolation on the grid 0, 1, 2, ... when both factors
+    have positive degree and p >= npts, the number of product
+    coefficients; otherwise ``pm_mul_mod`` at full order, a slab
+    convolution that makes one ``mat_mul_mod`` call when either factor
+    is constant.
     """
     if a.field.p != b.field.p:
         raise ModulusMismatch("mixed moduli")
@@ -460,13 +424,9 @@ def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         raise DimensionMismatch(f"inner dimensions {a.cols} and {b.rows} differ")
     if a.is_zero() or b.is_zero():
         return PolyMatrix.zeros(a.field, a.rows, b.cols)
-    if a.degree == 0:
-        return b.mul_const_left(a.coeffs[:, :, 0])
-    if b.degree == 0:
-        return a.mul_const_right(b.coeffs[:, :, 0])
     npts = a.coeffs.shape[2] + b.coeffs.shape[2] - 1
-    if npts > a.field.p:
-        return _mul_convolution(a, b)
+    if a.degree == 0 or b.degree == 0 or npts > a.field.p:
+        return pm_mul_mod(a, b, npts)
     return _mul_eval_interp(a, b)
 
 

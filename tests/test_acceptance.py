@@ -31,7 +31,7 @@ from polynull import (
     tdeg_row,
 )
 from polynull.field import FieldSpec, Poly
-from polynull.polymat import _mul_convolution, _mul_eval_interp, const_rank
+from polynull.polymat import _mul_eval_interp, const_rank
 
 from conftest import log2_ceil, make_rng, planted_rank
 
@@ -285,7 +285,7 @@ def test_criterion_10_multiplication_crossover():
         b = pm_random(k, n, d, FIELD, rng)
         if a.is_zero() or b.is_zero():
             continue
-        if _mul_eval_interp(a, b) != _mul_convolution(a, b):
+        if _mul_eval_interp(a, b) != pm_mul_mod(a, b, 2 * d + 1):
             bad += 1
     a = pm_random(64, 64, 32, FIELD, rng)
     b = pm_random(64, 64, 32, FIELD, rng)
@@ -293,7 +293,7 @@ def test_criterion_10_multiplication_crossover():
     fast = _mul_eval_interp(a, b)
     t_eval = time.perf_counter() - t0
     t0 = time.perf_counter()
-    slow = _mul_convolution(a, b)
+    slow = pm_mul_mod(a, b, 2 * 32 + 1)
     t_conv = time.perf_counter() - t0
     _verdict(
         "criterion 10: evaluation/interpolation exact and faster at n=64 d=32",

@@ -163,6 +163,29 @@ class TestCommands:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["rank", str(tmp_path / "absent.pm")]) == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nullspace", "{dir}"],
+            ["verify", "{dir}", "{ok}"],
+            ["verify", "{ok}", "{dir}"],
+            ["nullspace", "{binary}"],
+            ["verify", "{binary}", "{ok}"],
+        ],
+    )
+    def test_unreadable_input_is_parse_error(self, tmp_path, capsys, argv):
+        # exit 1 would tell a script that a basis failed verification
+        paths = {
+            "dir": str(tmp_path),
+            "ok": write(tmp_path, "id2.pm", HEADER.format(rows=2, cols=2) + "\n0 0 : 1\n1 1 : 1\n"),
+            "binary": str(tmp_path / "blob.pm"),
+        }
+        (tmp_path / "blob.pm").write_bytes(b"\xff\xfe\x00\x81polymat\x80")
+        assert main([arg.format(**paths) for arg in argv]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["definitely-not-a-command"])

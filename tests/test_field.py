@@ -2,7 +2,7 @@
 
 import pytest
 
-from polynull import NEG_INF, FieldSpec, ModulusMismatch, Poly
+from polynull import NEG_INF, FieldSpec, Poly
 
 from conftest import make_rng, poly, schoolbook_mul
 
@@ -34,22 +34,6 @@ class TestFieldSpec:
 
     def test_default_prime_is_word_size(self, field):
         assert field.p == 2**31 - 1
-
-
-class TestFieldElement:
-    def test_canonical_and_inverse(self, field):
-        a = field.element(-1)
-        assert a.value == field.p - 1
-        assert (a * a.inverse()).value == 1
-
-    def test_modulus_mismatch(self, field):
-        other = FieldSpec(101)
-        with pytest.raises(ModulusMismatch):
-            field.element(1) + other.element(1)
-
-    def test_zero_inverse(self, field):
-        with pytest.raises(ZeroDivisionError):
-            field.element(0).inverse()
 
 
 class TestPolyAdd:
@@ -169,4 +153,4 @@ class TestAlgebraicProperties:
             f = Poly.random(field, rng.randrange(10), rng)
             g = Poly.random(field, rng.randrange(10), rng)
             a = rng.randrange(field.p)
-            assert (f * g)(a) == f(a) * g(a)
+            assert (f * g)(a) == f(a) * g(a) % field.p

@@ -10,6 +10,8 @@ from polynull import (
     PolyMatrix,
     RandomPlan,
     SingularAtZero,
+    const_kernel,
+    const_random,
     is_row_reduced,
     kronecker_indices,
     monte_carlo_rank_compress,
@@ -20,6 +22,7 @@ from polynull import (
     pm_random,
     rank_oracle,
     rows_annihilate,
+    vstack,
 )
 from polynull.nullspace import _reconstruction_order
 from polynull.polymat import const_rank
@@ -44,6 +47,29 @@ def companion_column(field, extra_zero_rows=0):
     return PolyMatrix.from_polys(rows)
 
 
+def annihilation_case(field, rng, rows_deg, m_deg, m_cols):
+    """m = L @ B with L constant 3 x m_cols, and rows mixing multiples of
+    left-kernel rows of L (which annihilate m), a zero row and random rows."""
+    left = const_random(3, m_cols, field, rng)
+    m = PolyMatrix.from_const(field, left) @ pm_random(m_cols, m_cols, m_deg, field, rng)
+    kern = PolyMatrix.from_const(field, const_kernel(left, field.p))
+    good = pm_random(2, kern.rows, rows_deg, field, rng) @ kern
+    bad = pm_random(2, 3, rows_deg, field, rng)
+    return vstack(good, PolyMatrix.zeros(field, 1, 3), bad), m
+
+
+def scalar_annihilates(rows, m):
+    """Row-by-row test of row @ m == 0 from scalar Poly arithmetic only."""
+    zero = Poly.zero(m.field)
+    return [
+        all(
+            sum((rows.poly(i, k) * m.poly(k, j) for k in range(m.rows)), zero).is_zero()
+            for j in range(m.cols)
+        )
+        for i in range(rows.rows)
+    ]
+
+
 class TestRowsAnnihilate:
     def test_matches_direct_product(self, field):
         rng = make_rng(1)
@@ -52,6 +78,20 @@ class TestRowsAnnihilate:
             cand = pm_random(4, 3, 7, field, rng)
             direct = [pm_mul(cand.take_rows([i]), m).is_zero() for i in range(4)]
             assert rows_annihilate(cand, m) == direct
+        # (rows degree, m degree, m columns): rows above and below m (both
+        # loop orientations of the truncated product), constant m, constant
+        # rows, a row degree that is no multiple of deg m + 1, no columns
+        for rows_deg, m_deg, m_cols in [(7, 2, 2), (1, 5, 2), (4, 0, 2), (0, 3, 2), (4, 2, 2), (3, 2, 0)]:
+            cand, m = annihilation_case(field, rng, rows_deg, m_deg, m_cols)
+            want = [True] * 5 if m_cols == 0 else [True] * 3 + [False] * 2
+            assert scalar_annihilates(cand, m) == want
+            assert rows_annihilate(cand, m) == want
+        m = pm_random(3, 2, 2, field, rng)
+        assert rows_annihilate(PolyMatrix(field, np.zeros((0, 3, 1), dtype=np.int64)), m) == []
+        # x^5 * x^2 is nonzero only in its top coefficient, which a product
+        # truncated below full order would miss
+        x5, x2 = (PolyMatrix.from_polys([[poly(field, *[0] * e, 1)]]) for e in (5, 2))
+        assert rows_annihilate(x5, x2) == [False]
 
     def test_true_kernel_rows(self, field):
         rng = make_rng(2)

@@ -161,7 +161,7 @@ class TestMcMillanDegree:
             v = const_random(2, 2, field, rng)
             if const_rank(u, field.p) == 2 and const_rank(v, field.p) == 2:
                 break
-        m = core.mul_const_left(u).mul_const_right(v)
+        m = PolyMatrix.from_const(field, u) @ core @ PolyMatrix.from_const(field, v)
         assert mcmillan_degree(m, 2) == 1
 
     def test_degree_transfer_chain(self, field):

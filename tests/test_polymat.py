@@ -19,6 +19,7 @@ from polynull import (
     rank_oracle,
     tdeg_row,
 )
+from polynull import polymat
 from polynull.polymat import _EXACT, _LIMB_K_MAX, mat_mul_mod, row_tdegs
 
 from conftest import make_rng, planted_rank, poly, poly_level_matmul, schoolbook_mul
@@ -122,6 +123,26 @@ class TestPmMul:
     def test_dimension_mismatch(self, field):
         with pytest.raises(DimensionMismatch):
             pm_mul(PolyMatrix.zeros(field, 2, 3), PolyMatrix.zeros(field, 2, 3))
+
+    @pytest.mark.parametrize("p", [2**31 - 1, 5])
+    @pytest.mark.parametrize("da, db", [(0, 3), (3, 0), (0, 0), (3, 3)])
+    def test_path_selection(self, monkeypatch, p, da, db):
+        # eval/interp only when both degrees are positive and p >= npts;
+        # constant factors and small fields take the slab convolution
+        small = FieldSpec(p)
+        rng = make_rng(200 + 10 * da + db)
+        a = pm_random(3, 4, da, small, rng)
+        b = pm_random(4, 2, db, small, rng)
+        calls = []
+        eval_interp = polymat._mul_eval_interp
+
+        def counted(x, y):
+            calls.append((x, y))
+            return eval_interp(x, y)
+
+        monkeypatch.setattr(polymat, "_mul_eval_interp", counted)
+        assert pm_mul(a, b) == poly_level_matmul(a, b)
+        assert len(calls) == int(da > 0 and db > 0 and da + db + 1 <= p)
 
     def test_eval_homomorphism(self, field):
         rng = make_rng(5)
@@ -273,7 +294,7 @@ class TestRowReduced:
         rng = make_rng(10)
         m = pm_random(3, 3, 2, field, rng)
         perm = np.eye(3, dtype=np.int64)[[2, 0, 1]]
-        assert is_row_reduced(m) == is_row_reduced(m.mul_const_left(perm))
+        assert is_row_reduced(m) == is_row_reduced(PolyMatrix.from_const(field, perm) @ m)
 
 
 def reference_leading(m, t):
@@ -382,7 +403,7 @@ class TestEntrywiseOps:
     def test_degree_cache_matches_entries(self, field):
         rng = make_rng(14)
         m = pm_random(4, 3, 3, field, rng)
-        expected = max(m.entry_degree(i, j) for i in range(4) for j in range(3))
+        expected = max(m.poly(i, j).degree for i in range(4) for j in range(3))
         assert m.degree == expected
 
 
