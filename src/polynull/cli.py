@@ -8,14 +8,16 @@ Matrix file format, line-oriented and diffable::
 Indices are 0-based, coefficients ascending; entries not listed are
 zero; duplicate (i, j) lines and coefficients >= p are rejected.
 
-Exit codes: 0 success, 1 failed verification, 2 usage, 3 parse error,
-4 algorithm failure after retries.
+Exit codes: 0 success, 1 failed verification, 2 usage, 3 parse error or
+unreadable input, 4 algorithm failure after retries, 141 output closed
+early by its reader (as for a writer ended by SIGPIPE, e.g. ``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -34,6 +36,7 @@ EXIT_UNVERIFIED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_FAIL = 4
+EXIT_PIPE = 141
 
 
 def parse_matrix(text: str, prime_override: int | None = None) -> PolyMatrix:
@@ -137,9 +140,17 @@ def _emit(report: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
+class _Unreadable(Exception):
+    """An input file that cannot be read as UTF-8 text."""
+
+
 def _load(path: str, prime: int | None) -> PolyMatrix:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_matrix(handle.read(), prime)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _Unreadable(exc) from exc
+    return parse_matrix(text, prime)
 
 
 def _cmd_rank(args) -> int:
@@ -289,8 +300,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (MatrixParseError, OSError, UnicodeDecodeError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered goes quietly to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    except (MatrixParseError, _Unreadable) as exc:
         # an unreadable input file is a parse error, never a failed verification
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

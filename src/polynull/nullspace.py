@@ -63,11 +63,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class RandomPlan:
-    """Seeded randomness supply; replaying a seed replays every sample.
-
-    Draws are logged in ``samples`` as (label, value) pairs so a failed
-    run can be reconstructed exactly.
-    """
+    """Seeded randomness supply; replaying a seed replays every draw."""
 
     def __init__(self, seed: int | None = None, max_retries: int = 4):
         if max_retries < 0:
@@ -76,23 +72,16 @@ class RandomPlan:
             seed = secrets.randbits(64)
         self.seed = seed
         self.max_retries = max_retries
-        self.samples: list[tuple[str, object]] = []
         self._rng = random.Random(seed)
 
     def field_point(self, field: FieldSpec, label: str) -> int:
-        v = self._rng.randrange(field.p)
-        self.samples.append((label, v))
-        return v
+        return self._rng.randrange(field.p)
 
     def constant(self, m: int, n: int, field: FieldSpec, label: str) -> np.ndarray:
-        q = const_random(m, n, field, self._rng)
-        self.samples.append((label, q))
-        return q
+        return const_random(m, n, field, self._rng)
 
     def poly_matrix(self, m: int, n: int, d: int, field: FieldSpec, label: str) -> PolyMatrix:
-        pm = pm_random(m, n, d, field, self._rng)
-        self.samples.append((label, pm))
-        return pm
+        return pm_random(m, n, d, field, self._rng)
 
     def __repr__(self) -> str:
         return f"RandomPlan(seed={self.seed}, max_retries={self.max_retries})"
@@ -317,9 +306,7 @@ def nullspace_2n(m: PolyMatrix, plan: RandomPlan) -> Nullspace2nResult:
     return dataclasses.replace(result, retries_used=retries)
 
 
-def monte_carlo_rank_compress(
-    m: PolyMatrix, plan: RandomPlan
-) -> tuple[int, PolyMatrix, np.ndarray]:
+def monte_carlo_rank_compress(m: PolyMatrix, plan: RandomPlan) -> tuple[int, PolyMatrix]:
     """Probable rank r0 and a compression M @ R to r0 columns.
 
     Never certifies: r0 can undershoot the true rank and the compressed
@@ -328,14 +315,14 @@ def monte_carlo_rank_compress(
     x0 = plan.field_point(m.field, "rank_probe")
     r0 = const_rank(m.eval(x0), m.field.p)
     right = plan.constant(m.cols, r0, m.field, "R")
-    return r0, m @ PolyMatrix.from_const(m.field, right), right
+    return r0, m @ PolyMatrix.from_const(m.field, right)
 
 
 def _nullspace_once(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
     rows, cols = m.rows, m.cols
     field = m.field
 
-    r0, compressed, _ = monte_carlo_rank_compress(m, plan)
+    r0, compressed = monte_carlo_rank_compress(m, plan)
     if r0 == rows:
         basis = PolyMatrix(field, np.zeros((0, rows, 1), dtype=np.int64))
         return NullspaceResult(rows, basis, (), 0, plan.seed)

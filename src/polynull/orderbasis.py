@@ -1,4 +1,4 @@
-"""Shifted order bases (sigma bases) by order-by-order elimination.
+"""Shifted order bases (sigma bases) by one elimination per order.
 
 Given a series matrix G (q x s, known mod x^order) and a shift t, the
 computed L is a q x q polynomial matrix whose rows generate every
@@ -6,14 +6,17 @@ polynomial row v with v*G = O(x^order), with shifted degrees under
 control: L*G == 0 mod x^order, and any such v decomposes over the rows
 of L without raising the shifted degree.
 
-The iteration processes one power of x at a time and, within it, one
-column of G at a time.  The residual rows with a nonzero coefficient
-are cleared against a pivot row of minimal shifted degree (ties broken
-by row index, which makes the output deterministic); the pivot row is
-then multiplied by x.  Eliminating against a strictly smaller shifted
-degree cannot touch a row's leading block, and ties cannot cancel it
-because the leading blocks stay independent, so the tracked shifted
-degrees remain exact and L stays row-reduced for t throughout.
+M-Basis (Beckermann and Labahn 1994; Giorgi, Jeannerod and Villard
+2003) keeps only L.  At order k, L*G vanishes below x^k, and one product
+gives its x^k coefficient.  One constant elimination over the rows with
+a nonzero coefficient, in (shifted degree, index) order, finds their row
+rank profile: every other row loses its combination of earlier pivot
+rows, and the pivot rows are multiplied by x.
+
+Invariant: a row is reduced only by earlier pivot rows, whose shifted
+degree is at most its own.  Lower ones miss its leading block, equal ones
+cannot cancel it because L's leading blocks are independent, and x keeps
+it.  So the tracked shifted degrees stay exact and L stays row-reduced.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .polymat import PolyMatrix, Shift, row_tdegs
+from .polymat import PolyMatrix, Shift, _eliminate, mat_mul_mod, row_tdegs
 from .series import SeriesMatrix
 
 
@@ -61,51 +64,42 @@ def sigma_basis(g: SeriesMatrix, order: int, t: Shift) -> SigmaBasis:
         ident = PolyMatrix.identity(field, q)
         return SigmaBasis(ident, tuple(-ti for ti in t), order, tuple(t))
 
-    # residual = L*G mod x^order, updated in lockstep with L
-    resid = np.zeros((q, s, order), dtype=np.int64)
+    # rev[width-1-e] = G_e; in (L*G)_k, L_lo..L_k meet rev[lo+width-1-k:]
+    # (G_e = 0 for e >= width, so the slabs below lo would meet only zeros)
     width = min(g.matrix.coeffs.shape[2], order)
-    resid[:, :, :width] = g.matrix.coeffs[:, :, :width]
-
-    cap = max(4, order * s // max(q, 1) + 2)
-    basis = np.zeros((q, q, cap), dtype=np.int64)
-    basis[np.arange(q), np.arange(q), 0] = 1
+    rev = np.ascontiguousarray(g.matrix.coeffs[:, :, width - 1 :: -1].transpose(2, 0, 1))
+    basis = np.zeros((q, order + 1, q), dtype=np.int64)  # (row, slab, column)
+    basis[np.arange(q), 0, np.arange(q)] = 1
     tdegs = [-ti for ti in t]
-    row_len = [1] * q  # coefficients in use per row of `basis`
 
     for k in range(order):
-        for j in range(s):
-            col = resid[:, j, k]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            piv = int(min(nz, key=lambda i: (tdegs[i], i)))
-            others = nz[nz != piv]
-            if others.size:
-                factors = col[others] * pow(int(col[piv]), -1, p) % p
-                span = row_len[piv]
-                basis[others, :, :span] = (
-                    basis[others, :, :span] - factors[:, None, None] * basis[piv, :, :span]
-                ) % p
-                resid[others, :, k:] = (
-                    resid[others, :, k:] - factors[:, None, None] * resid[piv, :, k:]
-                ) % p
-                for i in others:
-                    row_len[i] = max(row_len[i], span)
-            if row_len[piv] == cap:
-                grown = np.zeros((q, q, 2 * cap), dtype=np.int64)
-                grown[:, :, :cap] = basis
-                basis = grown
-                cap *= 2
-            basis[piv, :, 1 : row_len[piv] + 1] = basis[piv, :, : row_len[piv]].copy()
-            basis[piv, :, 0] = 0
-            row_len[piv] += 1
-            resid[piv, :, k + 1 :] = resid[piv, :, k:-1].copy()
-            # x * row has zero residual at the current order: its
-            # coefficient here equals the already-cleared one below
-            resid[piv, :, k] = 0
-            tdegs[piv] += 1
+        # L has degree <= k, and L*G vanishes below x^k
+        lo = max(0, k - width + 1)
+        n = k + 1 - lo
+        resid = mat_mul_mod(
+            basis[:, lo : k + 1].reshape(q, n * q), rev[lo + width - 1 - k :].reshape(n * q, s), p
+        )
+        # a stable sort of ascending indices: (shifted degree, index) order
+        live = sorted(resid.any(axis=1).nonzero()[0].tolist(), key=tdegs.__getitem__)
+        if not live:
+            continue
+        # the live rows as columns: their column rank profile is the row one
+        aug = np.ascontiguousarray(resid[live].T)
+        cols = _eliminate(aug, p, len(live))
+        piv = [live[c] for c in cols]
+        if len(piv) < len(live):
+            # column c of the reduced aug holds row c's coordinates on the pivots
+            dep_cols = [c for c in range(len(live)) if c not in cols]
+            dep = [live[c] for c in dep_cols]
+            coords = aug[: len(cols), dep_cols].T
+            span = mat_mul_mod(coords, basis[piv, : k + 1].reshape(len(piv), -1), p)
+            basis[dep, : k + 1] = (basis[dep, : k + 1] - span.reshape(len(dep), k + 1, q)) % p
+        for i in piv:  # multiply by x; per-row basic slices beat a fancy index on small q
+            basis[i, 1 : k + 2] = basis[i, : k + 1]
+            basis[i, 0] = 0
+            tdegs[i] += 1
 
-    l_mat = PolyMatrix(field, basis)
+    l_mat = PolyMatrix(field, basis.transpose(0, 2, 1))
     exact = tuple(int(d) for d in row_tdegs(l_mat, t))
     return SigmaBasis(l_mat, exact, order, tuple(t))
 

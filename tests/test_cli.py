@@ -1,9 +1,14 @@
 """Matrix file format and command-line behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polynull
 from polynull import MatrixParseError, Poly, PolyMatrix
 from polynull.cli import main, parse_matrix, serialize_matrix
 
@@ -185,6 +190,22 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_closed_output_pipe(self, tmp_path):
+        # `polynull nullspace m.pm | head -c 10`: the reader leaves early
+        path = write(tmp_path, "id2.pm", HEADER.format(rows=2, cols=2) + "\n0 0 : 1\n1 1 : 1\n")
+        src = str(Path(polynull.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polynull.cli", "--seed", "1", "nullspace", path],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # before the child has imported numpy, let alone written
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+        assert err == ""
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

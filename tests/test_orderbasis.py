@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polynull import (
+    FieldSpec,
     PolyMatrix,
     SeriesMatrix,
     kernel_linearized,
@@ -16,9 +19,12 @@ from polynull import (
     sigma_basis,
     tdeg_row,
 )
-from polynull.polymat import const_rank, vstack
+from polynull.polymat import const_rank, is_row_reduced, row_tdegs, vstack
 
-from conftest import make_rng, poly
+from conftest import make_rng, poly, poly_level_matmul
+
+# 2 and 3 take the one-dgemm branch of the residual product, 2^31 - 1 the limb one
+PRIMES = (2, 3, 1009, 2**31 - 1)
 
 
 def random_series(field, q, s, order, rng):
@@ -115,6 +121,41 @@ class TestSigmaBasis:
             sigma_basis(g, 5, [0, 0])  # series shorter than requested order
         with pytest.raises(Exception):
             sigma_basis(g, 4, [0])  # shift length
+
+
+@st.composite
+def series_cases(draw):
+    """(g, order, t): q x s series stored below its order, with zero slabs."""
+    p = draw(st.sampled_from(PRIMES))
+    q, s = draw(st.integers(1, 6)), draw(st.integers(0, 8))
+    order = draw(st.integers(0, 6))
+    width = draw(st.integers(1, max(order, 1)))  # stored slabs; the rest are zero
+    if draw(st.booleans()):
+        entry = st.one_of(st.integers(0, p - 1), st.sampled_from((0, 1, p - 1)))
+        flat = draw(st.lists(entry, min_size=q * s * width, max_size=q * s * width))
+        c = np.array(flat, dtype=np.int64).reshape(q, s, width)
+    else:
+        c = np.full((q, s, width), p - 1, dtype=np.int64)
+    for e in draw(st.sets(st.integers(0, width - 1), max_size=width)):
+        c[:, :, e] = 0
+    t = draw(st.lists(st.integers(-3, 4), min_size=q, max_size=q))
+    return SeriesMatrix(PolyMatrix(FieldSpec(p), c), order), order, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_cases())
+def test_sigma_basis_properties(case):
+    g, order, t = case
+    basis = sigma_basis(g, order, t)
+    assert (basis.L.rows, basis.L.cols) == (g.rows, g.rows)
+    if g.cols:  # the scalar-Poly reference needs at least one entry
+        assert poly_level_matmul(basis.L, g.matrix).truncate(order).is_zero()
+    assert basis.tdegs == tuple(int(d) for d in row_tdegs(basis.L, t))
+    assert is_row_reduced(basis.L, t)
+    # the rows generate every annihilator without raising its shifted degree
+    for tau in range(min(basis.tdegs) - 1, max(basis.tdegs) + 2):
+        want = sum(max(0, tau - td + 1) for td in basis.tdegs)
+        assert _bounded_annihilator_dim(g, t, tau, order) == want, tau
 
 
 class TestSelectLowRows:
