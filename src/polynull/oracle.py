@@ -3,9 +3,9 @@
 Bounded-degree kernels come from the constant left kernel of a
 block-Toeplitz coefficient matrix; Kronecker indices from a degree
 sweep of those kernel dimensions; rank from enough evaluation points
-to dodge every minor's root set; McMillan degree from exhaustive
-minors.  None of this shares logic with the lifting or order-basis
-paths, which is the point: it is the referee, not a fast path.
+to dodge every minor's root set.  None of this shares logic with the
+lifting or order-basis paths, which is the point: it is the referee, not
+a fast path.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FieldTooSmall, TooLarge
 from .field import NEG_INF, FieldSpec
-from .polymat import PolyMatrix, const_inv, const_kernel, const_rank, mat_mul_mod
+from .polymat import PolyMatrix, const_kernel, const_rank
 
 #: Default ceiling on block-Toeplitz rows; this is a test oracle.
 DEFAULT_MAX_ROWS = 4096
@@ -233,60 +233,3 @@ def _extract_minimal_basis(
     if chosen_degs != list(indices):
         raise RuntimeError("minimal basis extraction disagrees with the index sweep")
     return _delinearize(m.field, np.array(chosen, dtype=np.int64), m.rows, delta_star)
-
-
-def mcmillan_degree(m: PolyMatrix, r: int, *, max_dim: int = 6) -> int:
-    """Max determinant degree over all r x r submatrices, exhaustively."""
-    from itertools import combinations
-
-    if m.rows > max_dim or m.cols > max_dim:
-        raise TooLarge(f"exhaustive minors guarded at dimension {max_dim}")
-    if r == 0:
-        return 0
-    if r > min(m.rows, m.cols):
-        raise ValueError(f"no {r}x{r} submatrices in a {m.rows}x{m.cols} matrix")
-    p = m.field.p
-    d = int(m.degree) if m.degree is not NEG_INF else 0
-    npts = r * d + 1
-    if npts > p:
-        raise FieldTooSmall(f"need {npts} points but p = {p}")
-    evals = [m.eval(a) for a in range(npts)]
-    vand = np.empty((npts, npts), dtype=np.int64)
-    vand[:, 0] = 1
-    for e in range(1, npts):
-        vand[:, e] = vand[:, e - 1] * np.arange(npts) % p
-    vinv = const_inv(vand, p)
-    best = NEG_INF
-    for rows in combinations(range(m.rows), r):
-        for cols in combinations(range(m.cols), r):
-            vals = np.array(
-                [[_det_mod(ev[np.ix_(rows, cols)], p)] for ev in evals], dtype=np.int64
-            )
-            coeffs = mat_mul_mod(vinv, vals, p)
-            nz = np.nonzero(coeffs)[0]
-            if nz.size:
-                best = max(best, int(nz[-1]))
-    return int(best) if best is not NEG_INF else 0
-
-
-def _det_mod(a: np.ndarray, p: int) -> int:
-    a = a.copy() % p
-    n = a.shape[0]
-    det = 1
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if a[r, c]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            a[[c, piv]] = a[[piv, c]]
-            det = -det % p
-        det = det * int(a[c, c]) % p
-        inv = pow(int(a[c, c]), -1, p)
-        for r in range(c + 1, n):
-            if a[r, c]:
-                a[r, c:] = (a[r, c:] - a[r, c] * inv % p * a[c, c:]) % p
-    return det

@@ -17,6 +17,10 @@ Invariant: a row is reduced only by earlier pivot rows, whose shifted
 degree is at most its own.  Lower ones miss its leading block, equal ones
 cannot cancel it because L's leading blocks are independent, and x keeps
 it.  So the tracked shifted degrees stay exact and L stays row-reduced.
+
+Entry (i, j) of L has degree at most tdegs[i] + t_j, so L's degree grows
+only while its pivot rows' shifted degrees allow; the products read L's
+slabs only up to that bound, which on nullspace inputs is L's degree.
 """
 
 from __future__ import annotations
@@ -60,24 +64,30 @@ def sigma_basis(g: SeriesMatrix, order: int, t: Shift) -> SigmaBasis:
     field = g.matrix.field
     p = field.p
 
-    if order == 0 or s == 0:
+    if order == 0 or s == 0 or q == 0:
         ident = PolyMatrix.identity(field, q)
         return SigmaBasis(ident, tuple(-ti for ti in t), order, tuple(t))
 
-    # rev[width-1-e] = G_e; in (L*G)_k, L_lo..L_k meet rev[lo+width-1-k:]
+    # rev[width-1-e] = G_e; in (L*G)_k, L_lo..L_top meet rev[lo+width-1-k:top+width-k]
     # (G_e = 0 for e >= width, so the slabs below lo would meet only zeros)
     width = min(g.matrix.coeffs.shape[2], order)
     rev = np.ascontiguousarray(g.matrix.coeffs[:, :, width - 1 :: -1].transpose(2, 0, 1))
     basis = np.zeros((q, order + 1, q), dtype=np.int64)  # (row, slab, column)
     basis[np.arange(q), 0, np.arange(q)] = 1
     tdegs = [-ti for ti in t]
+    tmax = max(t)
+    top = 0  # bounds deg L
 
     for k in range(order):
-        # L has degree <= k, and L*G vanishes below x^k
+        # L*G vanishes below x^k
         lo = max(0, k - width + 1)
-        n = k + 1 - lo
+        if lo > top:
+            continue
+        n = top + 1 - lo
         resid = mat_mul_mod(
-            basis[:, lo : k + 1].reshape(q, n * q), rev[lo + width - 1 - k :].reshape(n * q, s), p
+            basis[:, lo : top + 1].reshape(q, n * q),
+            rev[lo + width - 1 - k : top + width - k].reshape(n * q, s),
+            p,
         )
         # a stable sort of ascending indices: (shifted degree, index) order
         live = sorted(resid.any(axis=1).nonzero()[0].tolist(), key=tdegs.__getitem__)
@@ -92,12 +102,15 @@ def sigma_basis(g: SeriesMatrix, order: int, t: Shift) -> SigmaBasis:
             dep_cols = [c for c in range(len(live)) if c not in cols]
             dep = [live[c] for c in dep_cols]
             coords = aug[: len(cols), dep_cols].T
-            span = mat_mul_mod(coords, basis[piv, : k + 1].reshape(len(piv), -1), p)
-            basis[dep, : k + 1] = (basis[dep, : k + 1] - span.reshape(len(dep), k + 1, q)) % p
+            span = mat_mul_mod(coords, basis[piv, : top + 1].reshape(len(piv), -1), p)
+            basis[dep, : top + 1] = (basis[dep, : top + 1] - span.reshape(len(dep), top + 1, q)) % p
         for i in piv:  # multiply by x; per-row basic slices beat a fancy index on small q
-            basis[i, 1 : k + 2] = basis[i, : k + 1]
+            basis[i, 1 : top + 2] = basis[i, : top + 1]
             basis[i, 0] = 0
             tdegs[i] += 1
+        # other rows stay within top; a pivot row gains one degree, and
+        # deg L_ij <= tdegs[i] + t_j, largest at the last pivot in live order
+        top = max(top, min(top + 1, tdegs[piv[-1]] + tmax))
 
     l_mat = PolyMatrix(field, basis.transpose(0, 2, 1))
     exact = tuple(int(d) for d in row_tdegs(l_mat, t))

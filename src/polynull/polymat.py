@@ -279,33 +279,11 @@ class PolyMatrix:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _check_compatible(self, other: PolyMatrix, *, same_shape: bool) -> None:
-        if self.field.p != other.field.p:
-            raise ModulusMismatch(f"mixed moduli {self.field.p} and {other.field.p}")
-        if same_shape and (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch(
-                f"shapes {self.rows}x{self.cols} and {other.rows}x{other.cols} differ"
-            )
-
-    def __add__(self, other: PolyMatrix) -> PolyMatrix:
-        self._check_compatible(other, same_shape=True)
-        k = max(self._c.shape[2], other._c.shape[2])
-        out = np.zeros((self.rows, self.cols, k), dtype=np.int64)
-        out[:, :, : self._c.shape[2]] = self._c
-        out[:, :, : other._c.shape[2]] += other._c
-        return PolyMatrix(self.field, out % self.field.p)
-
     def __neg__(self) -> PolyMatrix:
         return PolyMatrix(self.field, (self.field.p - self._c) % self.field.p)
 
-    def __sub__(self, other: PolyMatrix) -> PolyMatrix:
-        return self + (-other)
-
     def __matmul__(self, other: PolyMatrix) -> PolyMatrix:
         return pm_mul(self, other)
-
-    def scale(self, c: int) -> PolyMatrix:
-        return PolyMatrix(self.field, self._c * (c % self.field.p) % self.field.p)
 
     def truncate(self, order: int) -> PolyMatrix:
         if order < 0:

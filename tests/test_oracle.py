@@ -1,4 +1,4 @@
-"""Brute-force oracle: linearized kernels, Kronecker indices, rank, McMillan."""
+"""Brute-force oracle: linearized kernels, Kronecker indices, rank."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from polynull import (
     is_row_reduced,
     kernel_linearized,
     kronecker_indices,
-    mcmillan_degree,
     pm_mul,
     pm_random,
     rank_oracle,
@@ -127,52 +126,3 @@ class TestRankOracle:
             r = rng.randrange(4)
             m = planted_rank(field, 5, 4, r, 3, rng)
             assert rank_oracle(m) == r
-
-
-class TestMcMillanDegree:
-    def test_identity(self, field):
-        assert mcmillan_degree(PolyMatrix.identity(field, 3), 3) == 0
-
-    def test_diagonal(self, field):
-        m = PolyMatrix.from_polys(
-            [
-                [Poly.x(field), Poly.zero(field)],
-                [Poly.zero(field), poly(field, 0, 0, 1)],
-            ]
-        )
-        assert mcmillan_degree(m, 2) == 3
-
-    def test_size_guard(self, field):
-        with pytest.raises(TooLarge):
-            mcmillan_degree(PolyMatrix.zeros(field, 7, 2), 1)
-
-    def test_large_coefficients_exact(self, field):
-        # det(U @ diag(x, 1) @ V) = c * x for invertible constants, so
-        # the answer is 1 even though r*d = 2; inexact interpolation
-        # arithmetic would report a garbage top coefficient instead
-        from polynull.polymat import const_rank, const_random
-
-        rng = make_rng(8)
-        core = PolyMatrix.from_polys(
-            [[Poly.x(field), Poly.zero(field)], [Poly.zero(field), Poly.one(field)]]
-        )
-        while True:
-            u = const_random(2, 2, field, rng)
-            v = const_random(2, 2, field, rng)
-            if const_rank(u, field.p) == 2 and const_rank(v, field.p) == 2:
-                break
-        m = PolyMatrix.from_const(field, u) @ core @ PolyMatrix.from_const(field, v)
-        assert mcmillan_degree(m, 2) == 1
-
-    def test_degree_transfer_chain(self, field):
-        rng = make_rng(7)
-        for _ in range(6):
-            m_rows = rng.randrange(2, 6)
-            n_cols = rng.randrange(1, min(m_rows, 5))
-            d = rng.randrange(3)
-            m = pm_random(m_rows, n_cols, d, field, rng)
-            profile = kronecker_indices(m, include_basis=False)
-            if profile.rank == 0:
-                continue
-            mc = mcmillan_degree(m, profile.rank)
-            assert sum(profile.indices) <= mc <= profile.rank * max(d, 0)

@@ -1,8 +1,12 @@
 """x-adic expansion of B * A^(-1)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polynull import (
+    FieldSpec,
     Poly,
     PolyMatrix,
     SingularAtZero,
@@ -11,9 +15,9 @@ from polynull import (
     pm_random,
     series_inverse,
 )
-from polynull.polymat import const_rank
+from polynull.polymat import const_inv, const_rank
 
-from conftest import make_rng, poly
+from conftest import make_rng, poly, poly_level_matmul
 
 
 def invertible_at_zero(field, n, d, rng):
@@ -95,3 +99,72 @@ class TestLeftQuotient:
         long = left_quotient_series(b, a, 24)
         for eta in (1, 5, 13):
             assert long.truncate(eta).matrix == left_quotient_series(b, a, eta).matrix
+
+
+# 2 and 3 take the one-dgemm branch of the kernel, 2^31 - 1 the limb one
+PRIMES = (2, 3, 1009, 2**31 - 1)
+# doubling boundaries: 2^j ends a step exactly, 2^j + 1 adds a one-slab step
+DOUBLING_ETAS = (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33)
+
+
+def newton_referee(a: PolyMatrix, eta: int) -> PolyMatrix:
+    """The full-residual Newton iteration X <- X(2I - AX) mod x^k, k doubling."""
+    if eta == 0:
+        return PolyMatrix.zeros(a.field, a.rows, a.rows)
+    x = PolyMatrix.from_const(a.field, const_inv(a.eval(0), a.field.p))
+    two_i = 2 * np.eye(a.rows, dtype=np.int64)
+    k = 1
+    while k < eta:
+        k = min(2 * k, eta)
+        residual = -pm_mul_mod(a.truncate(k), x, k).coeffs
+        residual[:, :, 0] += two_i
+        x = pm_mul_mod(x, PolyMatrix(a.field, residual), k)
+    return x
+
+
+def _entries(draw, p, shape):
+    """Random entries with 0, 1 and p - 1 favoured, or all p - 1."""
+    size = int(np.prod(shape))
+    if not draw(st.booleans()):
+        return np.full(shape, p - 1, dtype=np.int64)
+    entry = st.one_of(st.integers(0, p - 1), st.sampled_from((0, 1, p - 1)))
+    return np.array(draw(st.lists(entry, min_size=size, max_size=size)), dtype=np.int64).reshape(shape)
+
+
+@st.composite
+def lifting_cases(draw):
+    """(a, b, eta): A n x n with A(0) invertible, zeroed middle slabs; B rows x n."""
+    p = draw(st.sampled_from(PRIMES))
+    field = FieldSpec(p)
+    n, da = draw(st.integers(1, 5)), draw(st.integers(0, 8))
+    c = _entries(draw, p, (n, n, da + 1))
+    middle = max(da - 1, 0)
+    for e, zeroed in enumerate(draw(st.lists(st.booleans(), min_size=middle, max_size=middle)), 1):
+        if zeroed:
+            c[:, :, e] = 0
+    # A(0) = L U with L unit lower and U upper with a nonzero diagonal
+    c0 = c[:, :, 0].astype(object)
+    diag = np.diag([v if v else 1 for v in np.diag(c0)])
+    lower = np.tril(c0, -1) + np.eye(n, dtype=np.int64).astype(object)
+    upper = np.triu(c0, 1) + diag
+    c[:, :, 0] = (lower @ upper % p).astype(np.int64)
+    eta = draw(st.one_of(st.integers(0, 40), st.sampled_from(DOUBLING_ETAS), st.integers(0, da)))
+    b = _entries(draw, p, (draw(st.integers(1, 3)), n, draw(st.integers(1, 9))))
+    return PolyMatrix(field, c), PolyMatrix(field, b), eta
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifting_cases())
+def test_lifting_properties(case):
+    a, b, eta = case
+    ident = PolyMatrix.identity(a.field, a.rows).truncate(eta)
+    x = series_inverse(a, eta).matrix
+    assert x.degree < eta
+    assert poly_level_matmul(a, x).truncate(eta) == ident
+    assert poly_level_matmul(x, a).truncate(eta) == ident
+    referee = newton_referee(a, eta)
+    assert x == referee
+    h = left_quotient_series(b, a, eta).matrix
+    assert h.degree < eta
+    assert poly_level_matmul(h, a).truncate(eta) == b.truncate(eta)
+    assert h == pm_mul_mod(b, referee, eta)
