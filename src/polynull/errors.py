@@ -48,7 +48,8 @@ class SingularAtZero(Fail):
 
 
 class KappaMismatch(Fail):
-    """Candidate vector count did not survive the annihilation check."""
+    """Too few vectors: candidates failed the annihilation check, or a
+    harvest found fewer vectors under its degree threshold than it needs."""
 
 
 class NotRowReduced(Fail):

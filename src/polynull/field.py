@@ -127,10 +127,6 @@ class Poly:
         return cls(field, (0, 1))
 
     @classmethod
-    def constant(cls, field: FieldSpec, c: int) -> Poly:
-        return cls(field, (c,))
-
-    @classmethod
     def random(cls, field: FieldSpec, degree: int, rng: random.Random) -> Poly:
         """Uniform coefficients, so the result has degree at most ``degree``."""
         return cls(field, [rng.randrange(field.p) for _ in range(degree + 1)])

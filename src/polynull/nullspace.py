@@ -11,15 +11,21 @@ Three levels:
   shifted order basis, and certifies the harvest by exact annihilation
   and a row-reducedness check.
 
-* ``nullspace_2n`` stacks such calls while the number of missing
-  vectors halves each pass, trading dimension for degree so the
-  degree threshold 2nd/p keeps the work balanced.
+* ``_harvest`` is the one loop that stacks such calls on a conditioned
+  matrix whose top rows are independent.  While more rows are open than
+  the top has, fixed-size row blocks at the input's degree each close
+  as many rows as they add; then halving passes keep every vector under
+  a threshold that doubles as the open count halves, trading dimension
+  for degree.
 
-* ``nullspace`` handles any m x n input: a Monte Carlo evaluation
-  guesses the rank, a random column compression reduces to full column
-  rank, fixed-size row blocks harvest the m - 2r cheap vectors, the
-  2n-driver finishes, and one exact product plus an evaluation-rank
-  certificate either proves the answer or rejects the attempt.
+* ``nullspace`` handles any m x n input in one conditioning, one harvest
+  and one certificate per attempt: a Monte Carlo evaluation guesses the
+  rank r, a random column compression reduces to r columns, a random
+  mix of all rows into the top r makes them independent, ``_harvest``
+  collects the m - r vectors, and one exact product plus an
+  evaluation-rank certificate either proves the answer or rejects the
+  attempt.  ``nullspace_2n`` is the same attempt for a full column-rank
+  input with at most twice as many rows as columns.
 
 Every certified return is correct; bad random draws surface as ``Fail``
 and the public wrappers resample up to ``plan.max_retries`` times.
@@ -74,13 +80,13 @@ class RandomPlan:
         self.max_retries = max_retries
         self._rng = random.Random(seed)
 
-    def field_point(self, field: FieldSpec, label: str) -> int:
+    def field_point(self, field: FieldSpec) -> int:
         return self._rng.randrange(field.p)
 
-    def constant(self, m: int, n: int, field: FieldSpec, label: str) -> np.ndarray:
+    def constant(self, m: int, n: int, field: FieldSpec) -> np.ndarray:
         return const_random(m, n, field, self._rng)
 
-    def poly_matrix(self, m: int, n: int, d: int, field: FieldSpec, label: str) -> PolyMatrix:
+    def poly_matrix(self, m: int, n: int, d: int, field: FieldSpec) -> PolyMatrix:
         return pm_random(m, n, d, field, self._rng)
 
     def __repr__(self) -> str:
@@ -94,7 +100,6 @@ class MinimalVectorsResult:
     kappa: int
     vectors: PolyMatrix  # kappa x (n+p), ascending degree
     degrees: tuple[int, ...]
-    s_block: PolyMatrix  # matching denominator rows from the order basis
     retries_used: int = 0
 
 
@@ -121,7 +126,7 @@ def _retry(plan: RandomPlan, attempt_fn):
     last: Fail | None = None
     for attempt in range(plan.max_retries + 1):
         try:
-            return attempt_fn(), attempt
+            return dataclasses.replace(attempt_fn(), retries_used=attempt)
         except Fail as exc:
             last = exc
     assert last is not None
@@ -167,20 +172,16 @@ def _minimal_vectors_once(
     field = m.field
     d = _degree_int(m)
 
-    q_cond = plan.constant(rows, rows, field, "Q")
+    q_cond = plan.constant(rows, rows, field)
     shifted = PolyMatrix.from_const(field, q_cond) @ m
-    x0 = plan.field_point(field, "x0")
+    x0 = plan.field_point(field)
     shifted = shifted.shift_var(x0)
-    a_block = shifted.block(0, n, 0, n)
-    b_block = shifted.block(n, rows, 0, n)
-    if const_rank(a_block.eval(0), field.p) < n:
-        raise SingularAtZero("pivot block singular at 0; rank is probably below n")
-
     eta = _reconstruction_order(delta, d, n, p_dim)
-    expansion = left_quotient_series(b_block, a_block, eta)
+    # raises SingularAtZero when the pivot block is singular at 0
+    expansion = left_quotient_series(shifted.block(n, rows, 0, n), shifted.block(0, n, 0, n), eta)
 
     if p_dim < n:
-        compress = plan.poly_matrix(n, p_dim, max(d - 1, 0), field, "P")
+        compress = plan.poly_matrix(n, p_dim, max(d - 1, 0), field)
         compressed = pm_mul_mod(expansion.matrix, compress, eta)
         c_dim = p_dim
     else:
@@ -194,8 +195,7 @@ def _minimal_vectors_once(
     kappa, picked = select_low_rows(basis, delta)
     if kappa == 0:
         empty = PolyMatrix(field, np.zeros((0, rows, 1), dtype=np.int64))
-        empty_s = PolyMatrix(field, np.zeros((0, p_dim, 1), dtype=np.int64))
-        return MinimalVectorsResult(0, empty, (), empty_s)
+        return MinimalVectorsResult(0, empty, ())
 
     s_rows = basis.L.submatrix(picked, range(c_dim, c_dim + p_dim))
     left_part = pm_mul_mod(s_rows, expansion.matrix, delta + 1)
@@ -216,7 +216,6 @@ def _minimal_vectors_once(
         kappa,
         candidates.take_rows(order),
         tuple(int(degrees[i]) for i in order),
-        s_rows.take_rows(order),
     )
 
 
@@ -229,37 +228,47 @@ def nullspace_minimal_vectors(
     with fresh randomness up to ``plan.max_retries`` times, then
     surfaces the last ``Fail``.
     """
-    result, retries = _retry(plan, lambda: _minimal_vectors_once(m, delta, plan))
-    return dataclasses.replace(result, retries_used=retries)
+    return _retry(plan, lambda: _minimal_vectors_once(m, delta, plan))
 
 
-def _harvest(
-    conditioned: PolyMatrix,
-    top: int,
-    open_rows: list[int],
-    delta: int,
-    need: int | None,
-    plan: RandomPlan,
-) -> tuple[PolyMatrix, list[int]]:
-    """The first ``need`` minimal vectors (all, at least one, when None) of the
-    rows ``range(top) + open_rows`` of ``conditioned``, at full width, and
-    ``need`` open rows where they are independent at a random point, which
-    proves it for the polynomial columns (evaluation only loses rank).
+def _harvest(conditioned: PolyMatrix, top: int, d: int, plan: RandomPlan) -> list[PolyMatrix]:
+    """Nullspace vectors of ``conditioned`` at full width, one stack per
+    harvest, until every row below the first ``top`` is closed.
+
+    While more than ``top`` rows are open, the first ``2*top`` of them
+    (with the top rows) are harvested at degree ``d`` and the first
+    ``len(chunk) - top`` vectors kept; then halving passes keep every
+    vector (at least one) under ``ceil(2*top*d / open)``.  A harvest
+    closes as many open rows as it keeps vectors, where the vectors are
+    independent at a random point, which proves it for the polynomial
+    columns (evaluation only loses rank).
     """
-    positions = list(range(top)) + open_rows
-    sub = _minimal_vectors_once(conditioned.take_rows(positions), delta, plan)
-    need = sub.kappa if need is None else need
-    if sub.kappa < max(need, 1):
-        raise Fail(f"{sub.kappa} vectors under degree {delta}, needed {max(need, 1)}")
-    c = sub.vectors.coeffs[:need]
-    out = np.zeros((need, conditioned.rows, c.shape[2]), dtype=np.int64)
-    out[:, positions] = c
-    vectors = PolyMatrix(conditioned.field, out)
-    point = plan.field_point(conditioned.field, "column_select")
-    local = independent_columns(vectors.eval(point)[:, open_rows], conditioned.field.p, need)
-    if local is None:
-        raise IndependenceLost("could not certify enough independent columns")
-    return vectors, [open_rows[i] for i in local]
+    field = conditioned.field
+    open_rows = list(range(top, conditioned.rows))
+    harvested: list[PolyMatrix] = []
+    while open_rows:
+        chunk = open_rows[: 2 * top]
+        if len(open_rows) > top:
+            delta, need = d, len(chunk) - top
+        else:
+            delta, need = _ceil_div(2 * top * d, len(chunk)), None
+        positions = list(range(top)) + chunk
+        sub = _minimal_vectors_once(conditioned.take_rows(positions), delta, plan)
+        need = sub.kappa if need is None else need
+        if sub.kappa < max(need, 1):
+            raise KappaMismatch(f"{sub.kappa} vectors under degree {delta}, needed {max(need, 1)}")
+        c = sub.vectors.coeffs[:need]
+        out = np.zeros((need, conditioned.rows, c.shape[2]), dtype=np.int64)
+        out[:, positions] = c
+        vectors = PolyMatrix(field, out)
+        point = plan.field_point(field)
+        local = independent_columns(vectors.eval(point)[:, chunk], field.p, need)
+        if local is None:
+            raise IndependenceLost("could not certify enough independent columns")
+        closed = {chunk[i] for i in local}
+        open_rows = [i for i in open_rows if i not in closed]
+        harvested.append(vectors)
+    return harvested
 
 
 def _nullspace_2n_once(m: PolyMatrix, plan: RandomPlan) -> Nullspace2nResult:
@@ -268,42 +277,30 @@ def _nullspace_2n_once(m: PolyMatrix, plan: RandomPlan) -> Nullspace2nResult:
     if not 1 <= q <= n:
         raise ValueError(f"need n < rows <= 2n, got {rows} x {n}")
     field = m.field
-    d = _degree_int(m)
 
-    q_cond = plan.constant(rows, rows, field, "Q2n")
+    q_cond = plan.constant(rows, rows, field)
     conditioned = PolyMatrix.from_const(field, q_cond) @ m
-    x0 = plan.field_point(field, "x0_2n")
+    x0 = plan.field_point(field)
     if const_rank(conditioned.block(0, n, 0, n).eval(x0), field.p) < n:
         raise SingularAtZero("top block evaluated singular; rank is probably below n")
 
-    used: set[int] = set()
-    harvested: list[PolyMatrix] = []
-    passes = 0
-    while len(used) < q:
-        passes += 1
-        open_idx = [j for j in range(n, rows) if j not in used]
-        delta = _ceil_div(2 * n * d, len(open_idx))
-        vectors, chosen = _harvest(conditioned, n, open_idx, delta, None, plan)
-        used.update(chosen)
-        harvested.append(vectors)
-
+    harvested = _harvest(conditioned, n, _degree_int(m), plan)
     result = vstack(*harvested) @ PolyMatrix.from_const(field, q_cond)
-    point = plan.field_point(field, "rank_certificate_2n")
+    point = plan.field_point(field)
     if const_rank(result.eval(point), field.p) != q:
         raise IndependenceLost("evaluation rank certificate failed")
     degrees = tuple(int(result.row_degree(i)) for i in range(q))
-    return Nullspace2nResult(result, degrees, sum(degrees), passes)
+    return Nullspace2nResult(result, degrees, sum(degrees), len(harvested))
 
 
 def nullspace_2n(m: PolyMatrix, plan: RandomPlan) -> Nullspace2nResult:
     """All q = rows - n nullspace vectors of a full column-rank input.
 
     The degree sum stays below n*d*ceil(log2 q) because each pass keeps
-    every vector under the threshold 2nd/p and at least halves the
-    missing count.
+    every vector under the threshold 2nd/q for the q rows still open and
+    at least halves that count.
     """
-    result, retries = _retry(plan, lambda: _nullspace_2n_once(m, plan))
-    return dataclasses.replace(result, retries_used=retries)
+    return _retry(plan, lambda: _nullspace_2n_once(m, plan))
 
 
 def monte_carlo_rank_compress(m: PolyMatrix, plan: RandomPlan) -> tuple[int, PolyMatrix]:
@@ -312,14 +309,14 @@ def monte_carlo_rank_compress(m: PolyMatrix, plan: RandomPlan) -> tuple[int, Pol
     Never certifies: r0 can undershoot the true rank and the compressed
     nullspace can be too big, but downstream exact checks catch both.
     """
-    x0 = plan.field_point(m.field, "rank_probe")
+    x0 = plan.field_point(m.field)
     r0 = const_rank(m.eval(x0), m.field.p)
-    right = plan.constant(m.cols, r0, m.field, "R")
+    right = plan.constant(m.cols, r0, m.field)
     return r0, m @ PolyMatrix.from_const(m.field, right)
 
 
 def _nullspace_once(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
-    rows, cols = m.rows, m.cols
+    rows = m.rows
     field = m.field
 
     r0, compressed = monte_carlo_rank_compress(m, plan)
@@ -333,34 +330,14 @@ def _nullspace_once(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
         return NullspaceResult(0, basis, (0,) * rows, 0, plan.seed)
 
     # make the top r0 x r0 block nonsingular, touching only the top rows
-    mix = plan.constant(r0, rows, field, "Qc")
+    mix = plan.constant(r0, rows, field)
     top = PolyMatrix.from_const(field, mix) @ compressed
     conditioned = vstack(top, compressed.take_rows(range(r0, rows)))
-    probe = plan.field_point(field, "conditioning_probe")
+    probe = plan.field_point(field)
     if const_rank(conditioned.block(0, r0, 0, r0).eval(probe), field.p) < r0:
         raise SingularAtZero("conditioned top block still evaluates singular")
-    d = _degree_int(conditioned)
 
-    used: set[int] = set()
-    pool = list(range(r0, rows))
-    harvested: list[PolyMatrix] = []
-    if rows > 2 * r0:
-        blocks = _ceil_div(rows - 2 * r0, r0)
-        for k in range(1, blocks + 1):
-            take = 2 * r0 if k < blocks else rows - blocks * r0
-            chunk = [i for i in pool if i not in used][:take]
-            vectors, chosen = _harvest(conditioned, r0, chunk, d, take - r0, plan)
-            used.update(chosen)
-            harvested.append(vectors)
-        remaining = [i for i in pool if i not in used]
-        last_positions = list(range(r0)) + remaining
-    else:
-        last_positions = list(range(rows))
-    tail = _nullspace_2n_once(conditioned.take_rows(last_positions), plan).rows.coeffs
-    embedded = np.zeros((tail.shape[0], rows, tail.shape[2]), dtype=np.int64)
-    embedded[:, last_positions] = tail
-    harvested.append(PolyMatrix(field, embedded))
-
+    harvested = _harvest(conditioned, r0, _degree_int(conditioned), plan)
     uncondition = np.zeros((rows, rows), dtype=np.int64)
     uncondition[:r0] = mix
     uncondition[np.arange(r0, rows), np.arange(r0, rows)] = 1
@@ -368,7 +345,7 @@ def _nullspace_once(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
 
     if not all(rows_annihilate(basis, m)):
         raise RankCandidateWrong("candidate basis does not annihilate the input")
-    point = plan.field_point(field, "rank_certificate")
+    point = plan.field_point(field)
     if const_rank(basis.eval(point), field.p) != rows - r0:
         raise RankCandidateWrong("evaluation rank certificate failed")
     degrees = tuple(int(basis.row_degree(i)) for i in range(rows - r0))
@@ -383,5 +360,4 @@ def nullspace(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
     both the rank and the independence.  Fails (after retries) rather
     than ever returning an uncertified answer.
     """
-    result, retries = _retry(plan, lambda: _nullspace_once(m, plan))
-    return dataclasses.replace(result, retries_used=retries)
+    return _retry(plan, lambda: _nullspace_once(m, plan))

@@ -39,13 +39,11 @@ class SigmaBasis:
     """Order basis with per-row shifted degrees.
 
     ``L`` is square and nonsingular over K(x); row i has shifted degree
-    ``tdegs[i]`` with respect to ``shift``.
+    ``tdegs[i]`` with respect to the shift it was computed for.
     """
 
     L: PolyMatrix
     tdegs: tuple[int, ...]
-    order: int
-    shift: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -66,7 +64,7 @@ def sigma_basis(g: SeriesMatrix, order: int, t: Shift) -> SigmaBasis:
 
     if order == 0 or s == 0 or q == 0:
         ident = PolyMatrix.identity(field, q)
-        return SigmaBasis(ident, tuple(-ti for ti in t), order, tuple(t))
+        return SigmaBasis(ident, tuple(-ti for ti in t))
 
     # rev[width-1-e] = G_e; in (L*G)_k, L_lo..L_top meet rev[lo+width-1-k:top+width-k]
     # (G_e = 0 for e >= width, so the slabs below lo would meet only zeros)
@@ -114,7 +112,7 @@ def sigma_basis(g: SeriesMatrix, order: int, t: Shift) -> SigmaBasis:
 
     l_mat = PolyMatrix(field, basis.transpose(0, 2, 1))
     exact = tuple(int(d) for d in row_tdegs(l_mat, t))
-    return SigmaBasis(l_mat, exact, order, tuple(t))
+    return SigmaBasis(l_mat, exact)
 
 
 def select_low_rows(basis: SigmaBasis, delta: int | float) -> tuple[int, list[int]]:

@@ -5,6 +5,7 @@ lines as they print.  Every expected value here is either asserted
 exactly or recomputed by the brute-force oracle; nothing is tuned.
 """
 
+import importlib
 import math
 import time
 from dataclasses import dataclass
@@ -35,6 +36,8 @@ from polynull.polymat import _mul_eval_interp, const_rank
 
 from conftest import log2_ceil, make_rng, planted_rank
 
+# the attribute polynull.nullspace is the re-exported function, not the module
+nullspace_module = importlib.import_module("polynull.nullspace")
 FIELD = FieldSpec()  # p = 2^31 - 1
 
 
@@ -238,7 +241,7 @@ def test_criterion_8_las_vegas_discipline(corpus):
     )
 
 
-def test_criterion_9_loop_count_bound():
+def test_criterion_9_loop_count_bound(monkeypatch):
     rng = make_rng(0x9)
     bad = 0
     checked = 0
@@ -270,6 +273,42 @@ def test_criterion_9_loop_count_bound():
         "criterion 9: pass count never exceeds ceil(log2 q)",
         bad == 0,
         f"{checked} runs including unbalanced-index instances",
+    )
+
+    # the general driver: ceil(max(0, m - 2r) / r) row blocks, then at most
+    # ceil(log2 min(r, m - r)) halving passes, one minimal-vectors call each
+    real = nullspace_module._minimal_vectors_once
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(nullspace_module, "_minimal_vectors_once", counted)
+    bad = 0
+    ok = 0
+    for field in (FIELD, FieldSpec(1009)):
+        for _ in range(40):
+            m_rows = rng.randrange(2, 13)
+            n_cols = rng.randrange(1, 7)
+            r = rng.randrange(1, min(m_rows - 1, n_cols) + 1)
+            m = planted_rank(field, m_rows, n_cols, r, rng.randrange(4), rng)
+            calls = 0
+            try:
+                res = nullspace(m, RandomPlan(rng.randrange(2**63), max_retries=0))
+            except Fail:
+                continue
+            r = res.rank
+            if not 0 < r < m_rows:
+                continue
+            ok += 1
+            bound = math.ceil(max(0, m_rows - 2 * r) / r) + log2_ceil(min(r, m_rows - r))
+            bad += calls > bound
+    _verdict(
+        "criterion 9: at most ceil(max(0, m-2r)/r) + ceil(log2 min(r, m-r)) harvests per call",
+        bad == 0 and ok >= 60,
+        f"{ok} successful first attempts at p = 2^31-1 and 1009",
     )
 
 

@@ -1,11 +1,14 @@
 """The randomized drivers: minimal vectors, the 2n case, the general case."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from polynull import (
     Fail,
     FieldSpec,
+    KappaMismatch,
     Poly,
     PolyMatrix,
     RandomPlan,
@@ -24,10 +27,14 @@ from polynull import (
     rows_annihilate,
     vstack,
 )
-from polynull.nullspace import _reconstruction_order
+from polynull.nullspace import MinimalVectorsResult, _reconstruction_order
 from polynull.polymat import const_rank
 
 from conftest import log2_ceil, make_rng, planted_rank, poly
+
+
+# the attribute polynull.nullspace is the re-exported function, not the module
+nullspace_module = importlib.import_module("polynull.nullspace")
 
 
 def full_column_rank(field, n, p_extra, d, rng):
@@ -151,20 +158,6 @@ class TestMinimalVectors:
         m = companion_column(field)
         res = nullspace_minimal_vectors(m, 3, RandomPlan(9))
         assert list(res.degrees) == sorted(res.degrees)
-
-    def test_denominator_block_is_row_reduced_with_same_degrees(self, field):
-        rng = make_rng(5)
-        for _ in range(6):
-            n = rng.randrange(1, 6)
-            p_extra = rng.randrange(1, n + 1)
-            d = rng.randrange(1, 4)
-            m = full_column_rank(field, n, p_extra, d, rng)
-            res = nullspace_minimal_vectors(m, n * d, RandomPlan(rng.randrange(2**63)))
-            if res.kappa == 0:
-                continue
-            assert is_row_reduced(res.s_block)
-            s_degs = tuple(int(res.s_block.row_degree(i)) for i in range(res.kappa))
-            assert s_degs == res.degrees
 
     def test_rank_deficient_input_fails(self, field):
         # duplicated columns: rank 1 < n = 2, so every conditioned pivot
@@ -310,6 +303,21 @@ class TestNullspaceDriver:
             bound = rr * d * log2_ceil(rr) + max(0, m_rows - 2 * rr) * d
             assert res.degree_sum <= bound, trial
 
+    @pytest.mark.parametrize("shape", [(7, 4, 2), (4, 3, 2)])
+    def test_short_harvest_raises_kappa_mismatch(self, field, monkeypatch, shape):
+        # (7, 4, 2) opens with a row block, (4, 3, 2) with a halving pass
+        real = nullspace_module._minimal_vectors_once
+
+        def short(m, delta, plan):
+            res = real(m, delta, plan)
+            k = max(res.kappa - 1, 0)
+            return MinimalVectorsResult(k, res.vectors.take_rows(range(k)), res.degrees[:k])
+
+        monkeypatch.setattr(nullspace_module, "_minimal_vectors_once", short)
+        m = planted_rank(field, *shape, 2, make_rng(12))
+        with pytest.raises(KappaMismatch):
+            nullspace(m, RandomPlan(22, max_retries=0))
+
     def test_unbalanced_through_driver(self, field):
         m = companion_column(field, extra_zero_rows=3)
         res = nullspace(m, RandomPlan(20))
@@ -350,9 +358,9 @@ class TestRandomPlan:
         a, b = RandomPlan(42), RandomPlan(42)
         draws = [
             (
-                plan.field_point(field, "x0"),
-                plan.constant(3, 3, field, "Q"),
-                plan.poly_matrix(2, 2, 3, field, "P"),
+                plan.field_point(field),
+                plan.constant(3, 3, field),
+                plan.poly_matrix(2, 2, 3, field),
             )
             for plan in (a, b)
         ]
@@ -387,15 +395,15 @@ class TestRandomPlan:
         one = Poly.one(field)
         m = PolyMatrix.from_polys([[x, x], [one, one], [x * x, x * x]])
         plan = RandomPlan(21, max_retries=3)
-        labels = []
-        draw = plan.field_point
+        shapes = []
+        draw = plan.constant
 
-        def logged(field, label):
-            labels.append(label)
-            return draw(field, label)
+        def logged(m, n, field):
+            shapes.append((m, n))
+            return draw(m, n, field)
 
-        monkeypatch.setattr(plan, "field_point", logged)
+        monkeypatch.setattr(plan, "constant", logged)
         with pytest.raises(Fail):
             nullspace_minimal_vectors(m, 1, plan)
-        # four failed attempts drew four x0 points
-        assert labels.count("x0") == 4
+        # four failed attempts drew four conditioning matrices
+        assert shapes == [(3, 3)] * 4
