@@ -6,8 +6,8 @@ carries matrix entries in and out (I/O, reports); its schoolbook product
 is the scalar reference that polynomial-matrix products are checked
 against, not a path the library multiplies by.  Moduli are capped at
 31 bits: a product of two canonical values fits int64, and the float64
-matrix kernel of ``polymat`` splits entries into two 16-bit limbs, whose
-dgemm sums stay exact integers below 2^53 for inner sizes up to about 2^21.
+matrix kernel of ``polymat`` cuts one operand into limbs just narrow enough
+for every dgemm sum to stay an exact integer below 2^53.
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 A matrix is stored as an (m, n, k) int64 coefficient tensor with values
 in [0, p); slab e holds the coefficient matrix of x^e.  Constant
-matrices are plain 2-D int64 arrays.  All products route through
-``mat_mul_mod``, an exact float64 BLAS kernel: one dgemm while
-K * (p-1)^2 < 2^53 for inner size K, else three dgemms on 16-bit limbs,
-each exact up to K = 2^53 / (2^16-1)^2 (about 2^21), with larger inner
-sizes cut into chunks.  Results return to int64 mod p.
+matrices are plain 2-D int64 arrays; input that int64 cannot hold
+exactly is refused.  All products route through ``mat_mul_mod``, an
+exact float64 BLAS kernel: one dgemm while K * (p-1)^2 < 2^53 for inner
+size K, else one dgemm per limb of the operand with fewer entries, the
+limbs as wide as that bound allows, joined mod p in int64.
 
 Row degrees may be shifted: the t-degree of a row v is
 max_j (deg v_j - t_j), and a matrix is row-reduced for a shift when the
@@ -30,56 +30,64 @@ Shift = Sequence[int]
 # integer entries only ever adds nonnegative products, so every partial sum
 # it forms (with or without FMA, in any order) is at most the final sum, and
 # the product is exact when K * (largest entry)^2 < 2^53 for inner size K.
+# Past that, limbs of w bits with K * (2^w-1) * (p-1) < 2^53 keep each limb
+# dgemm exact, and Horner's rule from the top limb keeps the int64 accumulator
+# below p * 2^w + 2^53 < 2^63, as 2^w < p whenever one dgemm is not exact.
 _EXACT = 1 << 53
-_LIMB = 16
-_LIMB_MASK = (1 << _LIMB) - 1
-# Limb branch: for p < 2^31, hi = v >> 16 < 2^15 and lo = v & 0xFFFF < 2^16.
-# Its three dgemms sum at most K * (2^15-1)^2 (hi.hi), K * 2 (2^15-1)(2^16-1)
-# ([hi|lo].[lo;hi], inner size 2K) and K * (2^16-1)^2 (lo.lo); lo.lo is the
-# largest, so one limb dgemm is exact up to K = 2,097,216 (about 2^21).
-_LIMB_K_MAX = (_EXACT - 1) // _LIMB_MASK**2
+_MAX_LIMBS = 4  # where more would be needed, the inner size is cut into chunks
 
 
 def mat_mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p for int64 arrays with entries in [0, p), p < 2^31.
 
-    One float64 dgemm when K * (p-1)^2 < 2^53 for inner size K; otherwise
-    three dgemms on 16-bit limbs, over chunks of at most ``_LIMB_K_MAX``
-    inner indices, recombined mod p in int64.
+    One float64 dgemm when K * (p-1)^2 < 2^53 for inner size K.  Otherwise
+    one dgemm per limb of the operand with fewer entries, recombined mod p
+    in int64, over chunks of the inner size with at most ``_MAX_LIMBS`` limbs.
     """
     k = a.shape[1]
     if k * (p - 1) ** 2 < _EXACT:
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
-    if k <= _LIMB_K_MAX:
-        return _limb_mul(a, b, p)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, k, _LIMB_K_MAX):
-        out += _limb_mul(a[:, s : s + _LIMB_K_MAX], b[s : s + _LIMB_K_MAX], p)
-    return out % p
+    bits = (p - 1).bit_length()
+    chunk = (_EXACT - 1) // (((1 << -(-bits // _MAX_LIMBS)) - 1) * (p - 1))
+    if k > chunk:
+        parts = (mat_mul_mod(a[:, s : s + chunk], b[s : s + chunk], p) for s in range(0, k, chunk))
+        return _reduce(sum(parts), p)
+    w = ((_EXACT - 1) // (k * (p - 1)) + 1).bit_length() - 1
+    cut_a = a.shape[0] <= b.shape[1]
+    cut, other = (a, b.astype(np.float64)) if cut_a else (b, a.astype(np.float64))
+    acc = None
+    for shift in range((bits - 1) // w * w, -1, -w):
+        limb = (cut >> shift) & ((1 << w) - 1)
+        prod = limb.astype(np.float64) @ other if cut_a else other @ limb.astype(np.float64)
+        if acc is None:
+            acc = prod.astype(np.int64)
+        else:
+            acc = _reduce(acc, p)
+            acc <<= w
+            acc += prod.astype(np.int64)
+    return _reduce(acc, p)
 
 
-def _limb_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # a2 = [hi | lo] and b2 = [lo ; hi], so a2 @ b2 is the middle term and
-    # its blocks give hi.hi and lo.lo without further copies.
-    k = a.shape[1]
-    a2 = np.empty((a.shape[0], 2 * k))
-    a2[:, :k] = a >> _LIMB
-    a2[:, k:] = a & _LIMB_MASK
-    b2 = np.empty((2 * k, b.shape[1]))
-    b2[:k] = b & _LIMB_MASK
-    b2[k:] = b >> _LIMB
-    out = (a2[:, :k] @ b2[k:]).astype(np.int64) % p
-    out <<= _LIMB
-    out += (a2 @ b2).astype(np.int64)
-    out %= p
-    out <<= _LIMB
-    out += (a2[:, k:] @ b2[:k]).astype(np.int64)
-    out %= p
-    return out
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    # x mod p in place; on int64 these three passes cost about half of one %
+    q = x // p
+    q *= p
+    x -= q
+    return x
+
+
+def _int64(x: np.ndarray | Sequence) -> np.ndarray:
+    """``x`` as int64, refusing what a cast would truncate (floats) or wrap (uint64 past 2^63)."""
+    a = np.asarray(x)
+    if a.dtype == np.int64:
+        return a
+    if a.dtype.kind not in "biu" or (a.dtype == np.uint64 and a.size and int(a.max()) >> 63):
+        raise ValueError(f"entries must be integers that int64 holds, got dtype {a.dtype}")
+    return a.astype(np.int64)
 
 
 def _as_array(m0: np.ndarray | Sequence[Sequence[int]], p: int) -> np.ndarray:
-    a = np.asarray(m0, dtype=np.int64)
+    a = _int64(m0)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D constant matrix, got ndim={a.ndim}")
     return a % p
@@ -175,7 +183,7 @@ class PolyMatrix:
     __slots__ = ("field", "rows", "cols", "_c", "_degree")
 
     def __init__(self, field: FieldSpec, coeffs: np.ndarray, *, _normalized: bool = False):
-        c = np.asarray(coeffs, dtype=np.int64)
+        c = _int64(coeffs)
         if c.ndim != 3:
             raise DimensionMismatch("coefficient tensor must be 3-D")
         if not _normalized:

@@ -20,12 +20,51 @@ from polynull import (
     tdeg_row,
 )
 from polynull import polymat
-from polynull.polymat import _EXACT, _LIMB_K_MAX, mat_mul_mod, row_tdegs
+from polynull.polymat import _EXACT, mat_mul_mod, row_tdegs
 
 from conftest import make_rng, planted_rank, poly, poly_level_matmul, schoolbook_mul
 
 # 2^21 - 9, a prime whose single-dgemm bound K * (p-1)^2 < 2^53 ends at K = 2048
 SWITCH_PRIME = 2097143
+MERSENNE = 2**31 - 1
+
+
+def widest_k(w, p):
+    """Largest inner size K with K * (2^w - 1) * (p - 1) < 2^53: the last K
+    at which w-bit limbs stay exact, so limbs narrow past it."""
+    return (_EXACT - 1) // (((1 << w) - 1) * (p - 1))
+
+
+# At p = 2^31 - 1 (31-bit values) the limb count goes 2 -> 3 past w = 16,
+# 3 -> 4 past w = 11, and past w = 8 a fifth limb would be needed, so the
+# inner size is cut into chunks of CHUNK.  At SWITCH_PRIME (21 bits) it goes
+# 2 -> 3 past w = 11; its 3 -> 4 switch (w = 7, K = 33,818,801) is too large
+# to hold in a test.
+LIMB_SWITCHES = [(MERSENNE, 16), (MERSENNE, 11), (MERSENNE, 8), (SWITCH_PRIME, 11)]
+CHUNK = widest_k(8, MERSENNE)
+
+
+def tail_uniform_product(a, b, p):
+    """Exact (a @ b) mod p for operands whose inner index 1, 2, ... repeats index 1."""
+    k = a.shape[1]
+    return [
+        [(int(a[i, 0]) * int(b[0, j]) + (k - 1) * int(a[i, 1]) * int(b[1, j])) % p for j in range(b.shape[1])]
+        for i in range(a.shape[0])
+    ]
+
+
+def top_entries_with_odd_term(shape_a, shape_b, p):
+    """All entries p - 1, except a[:, 0] = b[0, :] = p - 2: every exact sum
+    is odd, so a float64 dgemm could not hold one above 2^53."""
+    a = np.full(shape_a, p - 1, dtype=np.int64)
+    b = np.full(shape_b, p - 1, dtype=np.int64)
+    a[:, 0] = b[0, :] = p - 2
+    return a, b
+
+
+# The operand with fewer entries is cut into limbs: a when it has fewer rows
+# than b has columns, b otherwise.
+ORIENTATIONS = {"a-cut": (1, 2), "b-cut": (2, 1)}
 
 
 class TestMatMulMod:
@@ -43,30 +82,60 @@ class TestMatMulMod:
             assert mat_mul_mod(a, b, p).tolist() == want
 
     def test_near_modulus_entries(self, field):
-        # worst-case magnitudes for the 16-bit split accumulation
+        # worst-case magnitudes for every limb and for the Horner recombination
         p = field.p
         a = np.full((64, 64), p - 1, dtype=np.int64)
         got = mat_mul_mod(a, a, p)
         assert int(got[0, 0]) == 64 * (p - 1) * (p - 1) % p
 
-    @pytest.mark.parametrize("p", [2**31 - 1, 1009, 2])
+    @pytest.mark.parametrize("p", [MERSENNE, 1009, 2])
     @pytest.mark.parametrize("extra", [0, 1])
     def test_limb_bound_all_entries_top(self, p, extra):
-        k = _LIMB_K_MAX + extra
+        # at the largest chunk and one past it at 2^31 - 1; the small
+        # primes take one dgemm at the same size
+        k = CHUNK + extra
         a = np.full((1, k), p - 1, dtype=np.int64)
         b = np.full((k, 1), p - 1, dtype=np.int64)
         assert int(mat_mul_mod(a, b, p)[0, 0]) == k * (p - 1) ** 2 % p
 
     def test_chunk_past_limb_bound_is_exact(self):
-        # lo = 0xFFFF is the largest limb: one unchunked lo.lo dgemm at
-        # K = bound + 1 would sum an odd integer above 2^53 and round
-        p = 2**31 - 1
-        v = (1 << 31) - 1 - (1 << 16)
-        k = _LIMB_K_MAX + 1
-        assert k * (v & 0xFFFF) ** 2 > _EXACT and k % 2 == 1
-        a = np.full((1, k), v, dtype=np.int64)
-        b = np.full((k, 1), v, dtype=np.int64)
-        assert int(mat_mul_mod(a, b, p)[0, 0]) == k * v * v % p
+        # two whole chunks and a one-index tail, in both orientations: each
+        # chunk's sum is nonzero mod p, so a dropped or repeated chunk
+        # changes the answer
+        p = MERSENNE
+        k = 2 * CHUNK + 1
+        assert CHUNK % p and (k - 1) * (p - 1) ** 2 > _EXACT
+        for m, n in ORIENTATIONS.values():
+            a, b = top_entries_with_odd_term((m, k), (k, n), p)
+            assert mat_mul_mod(a, b, p).tolist() == tail_uniform_product(a, b, p)
+
+    @pytest.mark.parametrize("p, w", LIMB_SWITCHES)
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+    def test_each_limb_count_switch(self, p, w, extra, orientation):
+        k = widest_k(w, p) + extra
+        m, n = ORIENTATIONS[orientation]
+        a, b = top_entries_with_odd_term((m, k), (k, n), p)
+        assert k * (p - 1) ** 2 > _EXACT
+        assert mat_mul_mod(a, b, p).tolist() == tail_uniform_product(a, b, p)
+
+    @pytest.mark.parametrize("p, w", LIMB_SWITCHES)
+    @pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+    def test_limb_width_is_the_widest_exact(self, p, w, orientation):
+        # the cut operand's entries are 2^(w+1) - 1: w-bit limbs are exact at
+        # this K, but one (w+1)-bit limb dgemm would sum an odd integer
+        # above 2^53 and round
+        k = widest_k(w, p)
+        top = (1 << (w + 1)) - 1
+        m, n = ORIENTATIONS[orientation]
+        a, b = top_entries_with_odd_term((m, k), (k, n), p)
+        if m < n:
+            a[:] = top
+        else:
+            b[:] = top
+        odd_sum = top * ((k - 1) * (p - 1) + (p - 2))
+        assert odd_sum % 2 == 1 and odd_sum > _EXACT
+        assert mat_mul_mod(a, b, p).tolist() == tail_uniform_product(a, b, p)
 
     @pytest.mark.parametrize("k", [2048, 2049])
     def test_both_sides_of_single_dgemm_switch(self, k):
@@ -92,6 +161,34 @@ class TestMatMulMod:
         b = np.zeros((k, n), dtype=np.int64)
         got = mat_mul_mod(a, b, field.p)
         assert got.shape == (m, n) and got.dtype == np.int64 and not got.any()
+
+
+class TestInt64Envelope:
+    def test_float_entries_are_refused(self):
+        # a cast would truncate them to [1, 2] and to the identity's rank
+        with pytest.raises(ValueError):
+            PolyMatrix(FieldSpec(7), np.array([[[1.5, 2.9]]]))
+        with pytest.raises(ValueError):
+            const_rank([[1.7, 0], [0, 1]], 7)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [np.array([[[2**64 - 1]]], dtype=np.uint64), np.array([[[2**63]]], dtype=np.uint64), [[[2**64]]]],
+    )
+    def test_values_outside_int64_are_refused(self, coeffs):
+        # 2^64 - 1 would wrap to -1, stored as 6 mod 7; its residue is 1
+        with pytest.raises(ValueError):
+            PolyMatrix(FieldSpec(7), coeffs)
+        with pytest.raises(ValueError):
+            const_rank(np.asarray(coeffs)[:, :, 0], 7)
+
+    def test_int64_and_plain_int_lists_are_accepted(self):
+        f = FieldSpec(7)
+        want = [[[1, 6, 0, 3]]]
+        assert PolyMatrix(f, [[[8, -1, 7, 2**63 - 5]]]).coeffs.tolist() == want
+        assert PolyMatrix(f, np.array([[[8, -1, 7, 2**63 - 5]]], dtype=np.int64)).coeffs.tolist() == want
+        assert PolyMatrix(f, np.array([[[8, 6, 7, 2**63 - 5]]], dtype=np.uint64)).coeffs.tolist() == want
+        assert const_rank([[1, 0], [0, 8]], 7) == 2
 
 
 class TestPmMul:
