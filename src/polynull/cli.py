@@ -241,7 +241,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     m = _load(args.file, args.prime)
-    profile = kronecker_indices(m, include_basis=False)
+    profile = kronecker_indices(m)
     report = {
         "command": "oracle kronecker",
         "prime": m.field.p,

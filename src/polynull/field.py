@@ -34,7 +34,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for word-size integers."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -164,10 +164,6 @@ class Poly:
         if not self.coeffs or not other.coeffs:
             return Poly.zero(self.field)
         return Poly(self.field, _mul_school(self.coeffs, other.coeffs, self.field.p))
-
-    def scale(self, c: int) -> Poly:
-        c %= self.field.p
-        return Poly(self.field, [a * c % self.field.p for a in self.coeffs])
 
     def truncate(self, order: int) -> Poly:
         """``self mod x^order``."""

@@ -61,7 +61,7 @@ from .polymat import (
     pm_random,
     vstack,
 )
-from .series import SeriesMatrix, left_quotient_series
+from .series import left_quotient_series
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -182,12 +182,12 @@ def _minimal_vectors_once(
 
     if p_dim < n:
         compress = plan.poly_matrix(n, p_dim, max(d - 1, 0), field)
-        compressed = pm_mul_mod(expansion.matrix, compress, eta)
+        compressed = pm_mul_mod(expansion, compress, eta)
         c_dim = p_dim
     else:
-        compressed = expansion.matrix
+        compressed = expansion
         c_dim = n
-    gen = SeriesMatrix(vstack(-PolyMatrix.identity(field, c_dim), compressed), eta)
+    gen = vstack(-PolyMatrix.identity(field, c_dim), compressed)
     # the first block absorbs the compression's degree-(d-1) inflation;
     # for a constant input the compression is constant and the shift is 0
     shift = [max(d - 1, 0)] * c_dim + [0] * p_dim
@@ -198,7 +198,7 @@ def _minimal_vectors_once(
         return MinimalVectorsResult(0, empty, ())
 
     s_rows = basis.L.submatrix(picked, range(c_dim, c_dim + p_dim))
-    left_part = pm_mul_mod(s_rows, expansion.matrix, delta + 1)
+    left_part = pm_mul_mod(s_rows, expansion, delta + 1)
     candidates = hstack(left_part, -s_rows.truncate(delta + 1))
     candidates = candidates.shift_var(-x0) @ PolyMatrix.from_const(field, q_cond)
 

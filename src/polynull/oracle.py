@@ -24,11 +24,10 @@ DEFAULT_MAX_ROWS = 4096
 
 @dataclass(frozen=True)
 class KroneckerProfile:
-    """Sorted minimal nullspace degrees of a matrix, with witnesses."""
+    """Sorted minimal nullspace degrees (Kronecker indices) and K(x)-rank of a matrix."""
 
     indices: tuple[int, ...]
     rank: int
-    basis: PolyMatrix | None
 
 
 def _toeplitz(m: PolyMatrix, delta: int) -> np.ndarray:
@@ -91,7 +90,7 @@ def rank_oracle(m: PolyMatrix) -> int:
 
 
 class _Echelon:
-    """Incremental row echelon over F_p: feed rows, track rank, reduce."""
+    """Incremental row echelon over F_p: feed rows, track rank."""
 
     def __init__(self, width: int, p: int):
         self.width = width
@@ -102,75 +101,37 @@ class _Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: np.ndarray) -> np.ndarray:
+    def add(self, row: np.ndarray) -> bool:
+        """Insert a row; True if it increased the rank."""
         row = row % self.p
         while True:
             nz = np.nonzero(row)[0]
             if nz.size == 0:
-                return row
+                return False
             lead = int(nz[0])
             piv = self.pivots.get(lead)
             if piv is None:
-                return row
+                self.pivots[lead] = row * pow(int(row[lead]), -1, self.p) % self.p
+                return True
             row = (row - row[lead] * piv) % self.p
 
-    def add(self, row: np.ndarray) -> bool:
-        """Insert a row; True if it increased the rank."""
-        row = self.reduce(row)
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            return False
-        lead = int(nz[0])
-        self.pivots[lead] = row * pow(int(row[lead]), -1, self.p) % self.p
-        return True
 
-
-def _graded_kernel_rows(m: PolyMatrix, delta: int, max_rows: int) -> np.ndarray:
-    """Kernel vectors echelonized from the high-degree end.
-
-    After this pass the rows of degree <= t span the whole degree-<=t
-    slice of the kernel, so a greedy sweep by degree sees everything.
-    """
-    if m.rows * (delta + 1) > max_rows:
-        raise TooLarge(
-            f"index sweep reached {m.rows * (delta + 1)} linearized rows "
-            f"(guard is {max_rows})"
-        )
-    kern = const_kernel(_toeplitz(m, delta), m.field.p)
-    rev = kern[:, ::-1]
-    ech = _Echelon(rev.shape[1], m.field.p)
-    kept = []
-    for row in rev:
-        reduced = ech.reduce(row)
-        if ech.add(reduced):
-            kept.append(ech.pivots[int(np.nonzero(reduced)[0][0])])
-    return np.array(kept, dtype=np.int64)[:, ::-1] if kept else kern
-
-
-def kronecker_indices(
-    m: PolyMatrix, *, include_basis: bool = True, max_rows: int = DEFAULT_MAX_ROWS
-) -> KroneckerProfile:
+def kronecker_indices(m: PolyMatrix, *, max_rows: int = DEFAULT_MAX_ROWS) -> KroneckerProfile:
     """Minimal nullspace degrees by sweeping the linearized kernel dimension.
 
     The kernel dimension at degree bound delta grows by the number of
     indices <= delta when delta increases by one; first differences of
-    that count locate every index.  With ``include_basis`` a minimal
-    basis is extracted greedily, lowest degrees first, skipping rows
-    already generated by shifts of earlier picks.
+    that count locate every index.
     """
     rank = rank_oracle(m)
     target = m.rows - rank
-    field = m.field
     if target == 0:
-        basis = PolyMatrix.zeros(field, 0, m.rows) if include_basis else None
-        return KroneckerProfile((), rank, basis)
+        return KroneckerProfile((), rank)
 
     d = int(m.degree) if m.degree is not NEG_INF else 0
     cap = max(m.cols * d, 0)  # every index is at most n*d
-    ech = _Echelon(m.cols * (cap + d + 1), field.p)
+    ech = _Echelon(m.cols * (cap + d + 1), m.field.p)
     indices: list[int] = []
-    rank_toeplitz = 0
-    delta_star = 0
     c = m.coeffs
     for delta in range(cap + 1):
         if m.rows * (delta + 1) > max_rows:
@@ -183,53 +144,15 @@ def kronecker_indices(
         for e in range(c.shape[2]):
             fresh[:, (delta + e) * m.cols : (delta + e + 1) * m.cols] = c[:, :, e]
         for row in fresh:
-            if ech.add(row):
-                rank_toeplitz += 1
+            ech.add(row)
         # kernel dimension at this bound, minus what the indices found
         # so far explain (each contributes delta - index + 1 shifts),
         # leaves exactly the count of fresh indices equal to delta
-        dim = m.rows * (delta + 1) - rank_toeplitz
+        dim = m.rows * (delta + 1) - ech.rank
         new = dim - sum(delta - di + 1 for di in indices)
         indices.extend([delta] * new)
-        delta_star = delta
         if len(indices) == target:
             break
     if len(indices) != target:
         raise RuntimeError("index sweep did not converge; rank oracle inconsistent")
-
-    basis = None
-    if include_basis:
-        basis = _extract_minimal_basis(m, tuple(indices), delta_star, max_rows)
-    return KroneckerProfile(tuple(indices), rank, basis)
-
-
-def _extract_minimal_basis(
-    m: PolyMatrix, indices: tuple[int, ...], delta_star: int, max_rows: int
-) -> PolyMatrix:
-    p = m.field.p
-    flat_width = m.rows * (delta_star + 1)
-    graded = _graded_kernel_rows(m, delta_star, max_rows)
-    rows_by_degree = []
-    for row in graded:
-        nz = np.nonzero(row)[0]
-        deg = int(nz[-1]) // m.rows if nz.size else 0
-        rows_by_degree.append((deg, row))
-    rows_by_degree.sort(key=lambda t: t[0])
-
-    span = _Echelon(flat_width, p)
-    chosen: list[np.ndarray] = []
-    chosen_degs: list[int] = []
-    for deg, row in rows_by_degree:
-        if not span.reduce(row).any():
-            continue
-        chosen.append(row)
-        chosen_degs.append(deg)
-        for j in range(delta_star - deg + 1):
-            shifted = np.zeros(flat_width, dtype=np.int64)
-            shifted[j * m.rows :] = row[: flat_width - j * m.rows]
-            span.add(shifted)
-        if len(chosen) == len(indices):
-            break
-    if chosen_degs != list(indices):
-        raise RuntimeError("minimal basis extraction disagrees with the index sweep")
-    return _delinearize(m.field, np.array(chosen, dtype=np.int64), m.rows, delta_star)
+    return KroneckerProfile(tuple(indices), rank)

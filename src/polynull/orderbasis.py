@@ -1,6 +1,6 @@
 """Shifted order bases (sigma bases) by one elimination per order.
 
-Given a series matrix G (q x s, known mod x^order) and a shift t, the
+Given a polynomial matrix G (q x s, read mod x^order) and a shift t, the
 computed L is a q x q polynomial matrix whose rows generate every
 polynomial row v with v*G = O(x^order), with shifted degrees under
 control: L*G == 0 mod x^order, and any such v decomposes over the rows
@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .polymat import PolyMatrix, Shift, _eliminate, mat_mul_mod, row_tdegs
-from .series import SeriesMatrix
 
 
 @dataclass(frozen=True)
@@ -45,21 +44,15 @@ class SigmaBasis:
     L: PolyMatrix
     tdegs: tuple[int, ...]
 
-    @property
-    def size(self) -> int:
-        return self.L.rows
 
-
-def sigma_basis(g: SeriesMatrix, order: int, t: Shift) -> SigmaBasis:
-    """Shifted order basis for ``g`` at the given order."""
+def sigma_basis(g: PolyMatrix, order: int, t: Shift) -> SigmaBasis:
+    """Shifted order basis for ``g`` mod x^order; slabs from x^order on are ignored."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if g.order < order:
-        raise ValueError(f"series is only known mod x^{g.order}, need order {order}")
     q, s = g.rows, g.cols
     if len(t) != q:
         raise DimensionMismatch(f"shift length {len(t)} does not match {q} rows")
-    field = g.matrix.field
+    field = g.field
     p = field.p
 
     if order == 0 or s == 0 or q == 0:
@@ -67,9 +60,10 @@ def sigma_basis(g: SeriesMatrix, order: int, t: Shift) -> SigmaBasis:
         return SigmaBasis(ident, tuple(-ti for ti in t))
 
     # rev[width-1-e] = G_e; in (L*G)_k, L_lo..L_top meet rev[lo+width-1-k:top+width-k]
-    # (G_e = 0 for e >= width, so the slabs below lo would meet only zeros)
-    width = min(g.matrix.coeffs.shape[2], order)
-    rev = np.ascontiguousarray(g.matrix.coeffs[:, :, width - 1 :: -1].transpose(2, 0, 1))
+    # (G_e for e >= width is zero or at or past x^order, beyond every k, so
+    # the slabs below lo would meet only zeros)
+    width = min(g.coeffs.shape[2], order)
+    rev = np.ascontiguousarray(g.coeffs[:, :, width - 1 :: -1].transpose(2, 0, 1))
     basis = np.zeros((q, order + 1, q), dtype=np.int64)  # (row, slab, column)
     basis[np.arange(q), 0, np.arange(q)] = 1
     tdegs = [-ti for ti in t]
@@ -121,7 +115,7 @@ def select_low_rows(basis: SigmaBasis, delta: int | float) -> tuple[int, list[in
     Returns (kappa, indices), indices sorted by ascending shifted
     degree with row order breaking ties.
     """
-    picked = [i for i in range(basis.size) if basis.tdegs[i] <= delta]
+    picked = [i for i in range(basis.L.rows) if basis.tdegs[i] <= delta]
     picked.sort(key=lambda i: (basis.tdegs[i], i))
     return len(picked), picked
 

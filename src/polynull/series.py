@@ -8,13 +8,11 @@ slabs h..k-1 of A*X (k = min(2h, eta)), X - X*E*x^h is exact mod x^k:
 its slabs below h are X's, and its new slabs h..k-1 are
 -(X mod x^(k-h)) * E mod x^(k-h).  Only those new slabs are computed,
 by two truncated products per step, into one preallocated tensor.  The
-left quotient then follows by one truncated product.  Truncation orders
-are always supplied by the caller.
+left quotient then follows by one truncated product.  Both return a
+plain ``PolyMatrix`` of degree below the order the caller supplies.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,36 +21,8 @@ from .field import FieldSpec
 from .polymat import PolyMatrix, const_inv, pm_mul_mod
 
 
-@dataclass(frozen=True)
-class SeriesMatrix:
-    """A polynomial matrix read as a power series known mod x^order."""
-
-    matrix: PolyMatrix
-    order: int
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("series order must be nonnegative")
-        if self.matrix.degree >= self.order:
-            # canonicalize: a series never carries slabs past its order
-            object.__setattr__(self, "matrix", self.matrix.truncate(self.order))
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.cols
-
-    def truncate(self, order: int) -> SeriesMatrix:
-        if order > self.order:
-            raise ValueError(f"cannot extend a series from order {self.order} to {order}")
-        return SeriesMatrix(self.matrix.truncate(order), order)
-
-
-def series_inverse(a: PolyMatrix, eta: int) -> SeriesMatrix:
-    """X with X*A == A*X == I mod x^eta.
+def series_inverse(a: PolyMatrix, eta: int) -> PolyMatrix:
+    """X with X*A == A*X == I mod x^eta, as a matrix of degree below eta.
 
     Requires A square with A(0) invertible; raises SingularAtZero
     otherwise, which usually means the surrounding matrix does not have
@@ -67,7 +37,7 @@ def series_inverse(a: PolyMatrix, eta: int) -> SeriesMatrix:
     except SingularMatrix as exc:
         raise SingularAtZero(f"constant term of {a.rows}x{a.rows} matrix is singular") from exc
     if eta == 0:
-        return SeriesMatrix(PolyMatrix.zeros(a.field, a.rows, a.rows), 0)
+        return PolyMatrix.zeros(a.field, a.rows, a.rows)
     field, n = a.field, a.rows
     da = a.coeffs.shape[2] - 1
     x = np.zeros((n, n, eta), dtype=np.int64)
@@ -81,7 +51,7 @@ def series_inverse(a: PolyMatrix, eta: int) -> SeriesMatrix:
         new = pm_mul_mod(_slabs(field, x, 0, k - h), e, k - h).coeffs
         x[:, :, h : h + new.shape[2]] = -new % field.p
         h = k
-    return SeriesMatrix(PolyMatrix(field, x), eta)
+    return PolyMatrix(field, x)
 
 
 def _slabs(field: FieldSpec, c: np.ndarray, lo: int, hi: int) -> PolyMatrix:
@@ -89,9 +59,8 @@ def _slabs(field: FieldSpec, c: np.ndarray, lo: int, hi: int) -> PolyMatrix:
     return PolyMatrix(field, c[:, :, lo:hi], _normalized=True)
 
 
-def left_quotient_series(b: PolyMatrix, a: PolyMatrix, eta: int) -> SeriesMatrix:
-    """Expansion of B * A^(-1) mod x^eta."""
+def left_quotient_series(b: PolyMatrix, a: PolyMatrix, eta: int) -> PolyMatrix:
+    """Expansion of B * A^(-1) mod x^eta, as a matrix of degree below eta."""
     if b.cols != a.rows:
         raise DimensionMismatch(f"B has {b.cols} columns but A is {a.rows}x{a.cols}")
-    inv = series_inverse(a, eta)
-    return SeriesMatrix(pm_mul_mod(b, inv.matrix, eta), eta)
+    return pm_mul_mod(b, series_inverse(a, eta), eta)

@@ -19,7 +19,7 @@ def lagrange_interpolate(points, values, field):
                 continue
             num = num * Poly(field, [-xj, 1])
             den = den * (xi - xj) % p
-        result = result + num.scale(yi * pow(den, -1, p))
+        result = result + num * Poly(field, [yi * pow(den, -1, p)])
     return result
 
 
@@ -48,7 +48,7 @@ class TestPolyAdd:
 
     def test_additive_inverse_degree(self, field):
         f = poly(field, 0, 0, 1)
-        g = f.scale(field.p - 1)
+        g = f * Poly(field, [field.p - 1])
         total = f + g
         assert total.is_zero()
         assert total.degree is NEG_INF
