@@ -153,37 +153,18 @@ def _load(path: str, prime: int | None) -> PolyMatrix:
     return parse_matrix(text, prime)
 
 
-def _cmd_rank(args) -> int:
-    m = _load(args.file, args.prime)
-    plan = RandomPlan(args.seed, args.max_retries)
-    result = nullspace(m, plan)
-    report = {
-        "command": "rank",
-        "prime": m.field.p,
-        "seed": plan.seed,
-        "rank": result.rank,
-        "retries_used": result.retries_used,
-        "certified": True,
-    }
-    _emit(report, args.json)
-    return EXIT_OK
-
-
 def _cmd_nullspace(args) -> int:
+    """``rank`` and ``nullspace``: one certified call, the basis reported for ``nullspace`` only."""
     m = _load(args.file, args.prime)
     plan = RandomPlan(args.seed, args.max_retries)
     result = nullspace(m, plan)
-    report = {
-        "command": "nullspace",
-        "prime": m.field.p,
-        "seed": plan.seed,
-        "rank": result.rank,
-        "basis": _basis_payload(result.basis),
-        "degrees": list(result.degrees),
-        "degree_sum": result.degree_sum,
-        "retries_used": result.retries_used,
-        "certified": True,
-    }
+    report = {"command": args.command, "prime": m.field.p, "seed": plan.seed, "rank": result.rank}
+    if args.command == "nullspace":
+        report["basis"] = _basis_payload(result.basis)
+        report["degrees"] = list(result.degrees)
+        report["degree_sum"] = result.degree_sum
+    report["retries_used"] = result.retries_used
+    report["certified"] = True
     _emit(report, args.json)
     return EXIT_OK
 
@@ -219,7 +200,7 @@ def _cmd_mul(args) -> int:
             "cols": product.cols,
             "basis": _basis_payload(product),
         }
-        print(json.dumps(report, separators=(",", ":"), sort_keys=True))
+        _emit(report, True)
     else:
         sys.stdout.write(serialize_matrix(product))
     return EXIT_OK
@@ -266,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("rank", help="certified rank")
     cmd.add_argument("file")
-    cmd.set_defaults(func=_cmd_rank)
+    cmd.set_defaults(func=_cmd_nullspace)
 
     cmd = sub.add_parser("nullspace", help="certified rank and nullspace basis")
     cmd.add_argument("file")

@@ -1,6 +1,6 @@
 """Rank and small-degree left nullspace bases, Las Vegas style.
 
-Three levels:
+Two levels:
 
 * ``nullspace_minimal_vectors`` finds every nullspace vector of degree
   at most a threshold for a full column-rank (n+p) x n input.  It
@@ -11,21 +11,18 @@ Three levels:
   shifted order basis, and certifies the harvest by exact annihilation
   and a row-reducedness check.
 
-* ``_harvest`` is the one loop that stacks such calls on a conditioned
-  matrix whose top rows are independent.  While more rows are open than
-  the top has, fixed-size row blocks at the input's degree each close
-  as many rows as they add; then halving passes keep every vector under
-  a threshold that doubles as the open count halves, trading dimension
-  for degree.
-
 * ``nullspace`` handles any m x n input in one conditioning, one harvest
   and one certificate per attempt: a Monte Carlo evaluation guesses the
   rank r, a random column compression reduces to r columns, a random
-  mix of all rows into the top r makes them independent, ``_harvest``
-  collects the m - r vectors, and one exact product plus an
-  evaluation-rank certificate either proves the answer or rejects the
-  attempt.  ``nullspace_2n`` is the same attempt for a full column-rank
-  input with at most twice as many rows as columns.
+  mix of all rows into the top r makes them independent, and
+  ``_harvest`` stacks minimal-vectors calls until the m - r rows below
+  the top are closed.  While more rows are open than the top has,
+  fixed-size row blocks at the input's degree each close as many rows
+  as they add; then halving passes keep every vector under a threshold
+  that doubles as the open count halves, trading dimension for degree
+  (the paper's 2n x n step, run inside every call).  One exact product
+  plus an evaluation-rank certificate either proves the answer or
+  rejects the attempt.
 
 Every certified return is correct; bad random draws surface as ``Fail``
 and the public wrappers resample up to ``plan.max_retries`` times.
@@ -59,6 +56,7 @@ from .polymat import (
     is_row_reduced,
     pm_mul_mod,
     pm_random,
+    row_tdegs,
     vstack,
 )
 from .series import left_quotient_series
@@ -100,15 +98,6 @@ class MinimalVectorsResult:
     kappa: int
     vectors: PolyMatrix  # kappa x (n+p), ascending degree
     degrees: tuple[int, ...]
-    retries_used: int = 0
-
-
-@dataclass(frozen=True)
-class Nullspace2nResult:
-    rows: PolyMatrix
-    degrees: tuple[int, ...]
-    degree_sum: int
-    passes: int
     retries_used: int = 0
 
 
@@ -205,8 +194,8 @@ def _minimal_vectors_once(
     flags = rows_annihilate(candidates, m)
     if sum(flags) != kappa:
         raise KappaMismatch(f"{sum(flags)} of {kappa} candidates annihilate the input")
-    degrees = [candidates.row_degree(i) for i in range(kappa)]
-    if any(deg is NEG_INF for deg in degrees):
+    degrees = row_tdegs(candidates, [0] * rows).tolist()
+    if NEG_INF in degrees:
         raise NotRowReduced("zero row among candidates")
     if not is_row_reduced(candidates):
         raise NotRowReduced("candidate stack is not row-reduced")
@@ -271,38 +260,6 @@ def _harvest(conditioned: PolyMatrix, top: int, d: int, plan: RandomPlan) -> lis
     return harvested
 
 
-def _nullspace_2n_once(m: PolyMatrix, plan: RandomPlan) -> Nullspace2nResult:
-    rows, n = m.rows, m.cols
-    q = rows - n
-    if not 1 <= q <= n:
-        raise ValueError(f"need n < rows <= 2n, got {rows} x {n}")
-    field = m.field
-
-    q_cond = plan.constant(rows, rows, field)
-    conditioned = PolyMatrix.from_const(field, q_cond) @ m
-    x0 = plan.field_point(field)
-    if const_rank(conditioned.block(0, n, 0, n).eval(x0), field.p) < n:
-        raise SingularAtZero("top block evaluated singular; rank is probably below n")
-
-    harvested = _harvest(conditioned, n, _degree_int(m), plan)
-    result = vstack(*harvested) @ PolyMatrix.from_const(field, q_cond)
-    point = plan.field_point(field)
-    if const_rank(result.eval(point), field.p) != q:
-        raise IndependenceLost("evaluation rank certificate failed")
-    degrees = tuple(int(result.row_degree(i)) for i in range(q))
-    return Nullspace2nResult(result, degrees, sum(degrees), len(harvested))
-
-
-def nullspace_2n(m: PolyMatrix, plan: RandomPlan) -> Nullspace2nResult:
-    """All q = rows - n nullspace vectors of a full column-rank input.
-
-    The degree sum stays below n*d*ceil(log2 q) because each pass keeps
-    every vector under the threshold 2nd/q for the q rows still open and
-    at least halves that count.
-    """
-    return _retry(plan, lambda: _nullspace_2n_once(m, plan))
-
-
 def monte_carlo_rank_compress(m: PolyMatrix, plan: RandomPlan) -> tuple[int, PolyMatrix]:
     """Probable rank r0 and a compression M @ R to r0 columns.
 
@@ -348,7 +305,7 @@ def _nullspace_once(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
     point = plan.field_point(field)
     if const_rank(basis.eval(point), field.p) != rows - r0:
         raise RankCandidateWrong("evaluation rank certificate failed")
-    degrees = tuple(int(basis.row_degree(i)) for i in range(rows - r0))
+    degrees = tuple(row_tdegs(basis, [0] * rows).astype(np.int64).tolist())
     return NullspaceResult(r0, basis, degrees, sum(degrees), plan.seed)
 
 

@@ -186,6 +186,8 @@ class PolyMatrix:
         c = _int64(coeffs)
         if c.ndim != 3:
             raise DimensionMismatch("coefficient tensor must be 3-D")
+        if c.shape[2] == 0:
+            c = np.zeros(c.shape[:2] + (1,), dtype=np.int64)  # one zero slab, as zeros() keeps
         if not _normalized:
             c = c % field.p
             c = _trim(c)
@@ -250,10 +252,6 @@ class PolyMatrix:
 
     def row_polys(self, i: int) -> list[Poly]:
         return [self.poly(i, j) for j in range(self.cols)]
-
-    def row_degree(self, i: int) -> Union[int, float]:
-        nz = np.nonzero(self._c[i])
-        return int(nz[1].max()) if nz[0].size else NEG_INF
 
     def is_zero(self) -> bool:
         return self._degree is NEG_INF

@@ -1,5 +1,6 @@
 """Shared fixtures and small independent reference implementations."""
 
+import importlib
 import math
 import random
 
@@ -11,6 +12,30 @@ from polynull import FieldSpec, Poly, PolyMatrix, pm_mul, pm_random
 @pytest.fixture(scope="session")
 def field():
     return FieldSpec()
+
+
+@pytest.fixture
+def harvests(monkeypatch):
+    """Reader of the harvests (minimal-vectors calls) the last ``nullspace``
+    attempt made; attempts that failed and were retried are not counted."""
+    # the attribute polynull.nullspace is the re-exported function, not the module
+    module = importlib.import_module("polynull.nullspace")
+    real_attempt, real_harvest = module._nullspace_once, module._minimal_vectors_once
+    count = 0
+
+    def attempt(*args):
+        nonlocal count
+        count = 0
+        return real_attempt(*args)
+
+    def harvest(*args):
+        nonlocal count
+        count += 1
+        return real_harvest(*args)
+
+    monkeypatch.setattr(module, "_nullspace_once", attempt)
+    monkeypatch.setattr(module, "_minimal_vectors_once", harvest)
+    return lambda: count
 
 
 def log2_ceil(k: int) -> int:

@@ -5,7 +5,6 @@ lines as they print.  Every expected value here is either asserted
 exactly or recomputed by the brute-force oracle; nothing is tuned.
 """
 
-import importlib
 import math
 import time
 from dataclasses import dataclass
@@ -19,7 +18,6 @@ from polynull import (
     kernel_linearized,
     kronecker_indices,
     nullspace,
-    nullspace_2n,
     nullspace_minimal_vectors,
     pm_mul,
     pm_mul_mod,
@@ -35,8 +33,6 @@ from polynull.polymat import _mul_eval_interp, const_rank
 
 from conftest import log2_ceil, make_rng, planted_rank
 
-# the attribute polynull.nullspace is the re-exported function, not the module
-nullspace_module = importlib.import_module("polynull.nullspace")
 FIELD = FieldSpec()  # p = 2^31 - 1
 
 
@@ -154,7 +150,7 @@ def test_criterion_4_degree_sum_bounds(corpus):
         m = pm_random(n + q, n, d, FIELD, rng)
         if rank_oracle(m) < n:
             continue
-        res = nullspace_2n(m, RandomPlan(rng.randrange(2**63)))
+        res = nullspace(m, RandomPlan(rng.randrange(2**63)))
         if res.degree_sum > n * d * log2_ceil(q):
             bad += 1
     _verdict("criterion 4: degree sums within the stacking bounds", bad == 0)
@@ -240,7 +236,7 @@ def test_criterion_8_las_vegas_discipline(corpus):
     )
 
 
-def test_criterion_9_loop_count_bound(monkeypatch):
+def test_criterion_9_loop_count_bound(harvests):
     rng = make_rng(0x9)
     bad = 0
     checked = 0
@@ -248,8 +244,8 @@ def test_criterion_9_loop_count_bound(monkeypatch):
     def check(m, q):
         nonlocal bad, checked
         checked += 1
-        res = nullspace_2n(m, RandomPlan(rng.randrange(2**63)))
-        if res.passes > log2_ceil(q):
+        nullspace(m, RandomPlan(rng.randrange(2**63)))
+        if harvests() > log2_ceil(q):
             bad += 1
 
     for _ in range(50):
@@ -269,22 +265,13 @@ def test_criterion_9_loop_count_bound(monkeypatch):
         rows += [[z, z, z]] * extra
         check(PolyMatrix.from_polys(rows), 1 + extra)
     _verdict(
-        "criterion 9: pass count never exceeds ceil(log2 q)",
+        "criterion 9: full column rank with q <= n extra rows: at most ceil(log2 q) harvests",
         bad == 0,
         f"{checked} runs including unbalanced-index instances",
     )
 
-    # the general driver: ceil(max(0, m - 2r) / r) row blocks, then at most
+    # the general case: ceil(max(0, m - 2r) / r) row blocks, then at most
     # ceil(log2 min(r, m - r)) halving passes, one minimal-vectors call each
-    real = nullspace_module._minimal_vectors_once
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(nullspace_module, "_minimal_vectors_once", counted)
     bad = 0
     ok = 0
     for field in (FIELD, FieldSpec(1009)):
@@ -293,7 +280,6 @@ def test_criterion_9_loop_count_bound(monkeypatch):
             n_cols = rng.randrange(1, 7)
             r = rng.randrange(1, min(m_rows - 1, n_cols) + 1)
             m = planted_rank(field, m_rows, n_cols, r, rng.randrange(4), rng)
-            calls = 0
             try:
                 res = nullspace(m, RandomPlan(rng.randrange(2**63), max_retries=0))
             except Fail:
@@ -303,7 +289,7 @@ def test_criterion_9_loop_count_bound(monkeypatch):
                 continue
             ok += 1
             bound = math.ceil(max(0, m_rows - 2 * r) / r) + log2_ceil(min(r, m_rows - r))
-            bad += calls > bound
+            bad += harvests() > bound
     _verdict(
         "criterion 9: at most ceil(max(0, m-2r)/r) + ceil(log2 min(r, m-r)) harvests per call",
         bad == 0 and ok >= 60,

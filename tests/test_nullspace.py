@@ -20,7 +20,6 @@ from polynull import (
     kronecker_indices,
     monte_carlo_rank_compress,
     nullspace,
-    nullspace_2n,
     nullspace_minimal_vectors,
     pm_mul,
     pm_random,
@@ -187,45 +186,45 @@ class TestMinimalVectors:
 
 
 class TestNullspace2n:
-    def test_single_missing_vector(self, field):
+    """``nullspace`` on full column-rank inputs with at most twice as many
+    rows as columns: only halving passes run."""
+
+    def test_single_missing_vector(self, field, harvests):
         x = Poly.x(field)
         one = Poly.one(field)
         z = Poly.zero(field)
         m = PolyMatrix.from_polys([[one, z], [z, one], [x * x, x]])
-        res = nullspace_2n(m, RandomPlan(11))
-        assert res.passes == 1
+        res = nullspace(m, RandomPlan(11))
+        assert harvests() == 1
+        assert res.rank == 2
         assert res.degrees == (2,)
-        row = res.rows.row_polys(0)
+        row = res.basis.row_polys(0)
         # proportional to [-x^2, -x, 1]
         assert row[0] == -(row[2] * x * x)
         assert row[1] == -(row[2] * x)
 
-    def test_multi_pass_unbalanced(self, field):
+    def test_multi_pass_unbalanced(self, field, harvests):
         m = companion_column(field, extra_zero_rows=2)
-        res = nullspace_2n(m, RandomPlan(12))
+        res = nullspace(m, RandomPlan(12))
         assert sorted(res.degrees) == [0, 0, 3]
-        assert res.passes == 2
-        assert all(rows_annihilate(res.rows, m))
+        assert harvests() == 2
+        assert all(rows_annihilate(res.basis, m))
 
-    def test_degree_sum_and_pass_bounds(self, field):
+    def test_degree_sum_and_pass_bounds(self, field, harvests):
         rng = make_rng(6)
         for _ in range(10):
             n = rng.randrange(1, 7)
             q = rng.randrange(1, n + 1)
             d = rng.randrange(4)
             m = full_column_rank(field, n, q, d, rng)
-            res = nullspace_2n(m, RandomPlan(rng.randrange(2**63)))
-            assert res.rows.rows == q
-            assert all(rows_annihilate(res.rows, m))
+            res = nullspace(m, RandomPlan(rng.randrange(2**63)))
+            assert res.rank == n
+            assert res.basis.rows == q
+            assert all(rows_annihilate(res.basis, m))
             assert res.degree_sum <= n * d * log2_ceil(q)
-            assert res.passes <= log2_ceil(q)
+            assert harvests() <= log2_ceil(q)
             a = rng.randrange(1, field.p)
-            assert const_rank(res.rows.eval(a), field.p) == q
-
-    def test_input_validation(self, field):
-        too_tall = PolyMatrix.zeros(field, 5, 2)
-        with pytest.raises(ValueError):
-            nullspace_2n(too_tall, RandomPlan(1))
+            assert const_rank(res.basis.eval(a), field.p) == q
 
 
 class TestMonteCarloCompress:

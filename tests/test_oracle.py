@@ -1,11 +1,14 @@
 """Brute-force oracle: linearized kernels, Kronecker indices, rank."""
 
+import numpy as np
 import pytest
 
 from polynull import (
     Poly,
     PolyMatrix,
     TooLarge,
+    const_random,
+    const_rank,
     kernel_linearized,
     kronecker_indices,
     pm_mul,
@@ -14,6 +17,32 @@ from polynull import (
 )
 
 from conftest import make_rng, planted_rank, poly
+
+
+def planted_indices(field, rng):
+    """U @ diag([1; b_1], ..., [1; b_k], 0) @ V with constant U, V and deg b_i = e_i >= 1.
+
+    Each 2 x 1 block [1; b] has the one minimal nullspace vector [b, -1]
+    of degree deg b, a trailing zero row (when drawn) adds an index 0,
+    and constant invertible U and full row-rank V keep the indices while
+    mixing every row.  Returns the matrix and its sorted indices.
+    """
+    degs = [rng.randrange(1, 5) for _ in range(rng.randrange(1, 3))]
+    zero_row = rng.random() < 0.5
+    k = len(degs)
+    rows = 2 * k + zero_row
+    d = np.zeros((rows, k, max(degs) + 1), dtype=np.int64)
+    for i, e in enumerate(degs):
+        d[2 * i, i, 0] = 1
+        d[2 * i + 1, i, : e + 1] = [rng.randrange(field.p) for _ in range(e + 1)]
+        d[2 * i + 1, i, e] = rng.randrange(1, field.p)
+    while True:
+        u = const_random(rows, rows, field, rng)
+        v = const_random(k, k + rng.randrange(2), field, rng)
+        if const_rank(u, field.p) == rows and const_rank(v, field.p) == k:
+            break
+    m = PolyMatrix.from_const(field, u) @ PolyMatrix(field, d) @ PolyMatrix.from_const(field, v)
+    return m, tuple(sorted(degs + [0] * zero_row))
 
 
 class TestKernelLinearized:
@@ -88,13 +117,22 @@ class TestKroneckerIndices:
 
     def test_self_consistency_and_basis(self, field):
         rng = make_rng(5)
+        drawn = []
         for _ in range(8):
             m_rows = rng.randrange(1, 6)
             n_cols = rng.randrange(1, 5)
             d = rng.randrange(3)
-            m = planted_rank(field, m_rows, n_cols, rng.randrange(min(m_rows, n_cols) + 1), d, rng)
+            r = rng.randrange(min(m_rows, n_cols) + 1)
+            drawn.append((planted_rank(field, m_rows, n_cols, r, d, rng), None))
+        # a sweep row lost at bound delta only shows while some row is
+        # still independent there, so the sweep needs indices above delta
+        for _ in range(8):
+            drawn.append(planted_indices(field, rng))
+        for m, planted in drawn:
             profile = kronecker_indices(m)
-            assert len(profile.indices) == m_rows - profile.rank
+            if planted is not None:
+                assert profile.indices == planted
+            assert len(profile.indices) == m.rows - profile.rank
             assert profile.indices == tuple(sorted(profile.indices))
             # the sweep's incremental echelon against const_kernel's elimination:
             # at bound delta, index e contributes the delta - e + 1 shifts of its vector

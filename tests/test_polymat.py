@@ -456,6 +456,17 @@ class TestTensorDegrees:
         assert leading_row_matrix(m, [0, 1, 2]).shape == (0, 3)
         assert row_tdegs(m, [0, 1, 2]).shape == (0,)
 
+    def test_empty_coefficient_axis(self, field):
+        # an (m, n, 0) tensor stores no slab; it is the zero matrix with one zero slab
+        m = PolyMatrix(field, np.zeros((2, 3, 0), dtype=np.int64))
+        assert m.coeffs.shape == (2, 3, 1)
+        assert m == PolyMatrix.zeros(field, 2, 3) and m.is_zero()
+        assert row_tdegs(m, [0, 1, 2]).tolist() == [NEG_INF, NEG_INF]
+        with pytest.raises(ValueError, match="row 0 is zero"):
+            leading_row_matrix(m)
+        with pytest.raises(ValueError, match="row 0 is zero"):
+            is_row_reduced(m)
+
     def test_one_slab_matrix(self, field):
         m = PolyMatrix.from_const(field, np.array([[1, 2, 0], [0, 0, 5], [4, 0, 0]]))
         assert m.coeffs.shape[2] == 1
