@@ -86,14 +86,15 @@ def planted_rank(field, m, n, r, d, rng):
     return pm_mul(pm_random(m, r, dl, field, rng), pm_random(r, n, d - dl, field, rng))
 
 
-def gauss_jordan(a, p):
+def gauss_jordan(a, p, cols=None):
     """Reference reduced row echelon form over F_p on Python ints.
 
-    Takes a 2-D array; returns (reduced rows as lists, pivot columns).
+    Takes a 2-D array and pivots in its first ``cols`` columns (all by
+    default); returns (reduced rows as lists, pivot columns).
     """
     rows = [[int(x) % p for x in row] for row in a.tolist()]
     pivots = []
-    for c in range(a.shape[1]):
+    for c in range(a.shape[1] if cols is None else cols):
         r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polynull import DimensionMismatch, SingularMatrix, const_kernel, const_rank
-from polynull.polymat import const_inv, independent_columns
+from polynull.polymat import _BLOCK_MIN, _PANEL, _eliminate, const_inv, independent_columns
 
 from conftest import gauss_jordan, int_matmul
 
@@ -90,3 +90,42 @@ def test_edge_shapes(p):
     assert independent_columns(full, p, 1) == [0]
     with pytest.raises(SingularMatrix):
         const_inv(full, p)
+
+
+def _blocked_case(rng):
+    """(p, a) at 40..140 rows and up to twice as many columns, or a panel edge."""
+    p = int(rng.choice(PRIMES))
+    m = int(rng.integers(40, 141))
+    edges = (_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL, 2 * _PANEL + 1, 3 * _PANEL)
+    n = int(rng.choice(edges)) if rng.random() < 0.3 else int(rng.integers(1, 2 * m + 1))
+    kind = rng.choice(("entries", "low-rank", "sparse", "zero-lines", "all-max", "zero"))
+    if kind == "zero":
+        return p, np.zeros((m, n), dtype=np.int64)
+    if kind == "all-max":
+        return p, np.full((m, n), p - 1, dtype=np.int64)
+    a = rng.integers(0, p, (m, n))
+    if kind == "low-rank":  # rank at most r; int64 holds r * p * 2^20 < 2^63
+        r = int(rng.integers(0, min(m, n) + 1))
+        a = rng.integers(0, p, (m, r)) @ rng.integers(0, min(p, 1 << 20), (r, n)) % p
+    elif kind == "sparse":
+        a *= rng.random((m, n)) < 0.05
+    elif kind == "zero-lines":
+        a[rng.random(m) < 0.3] = 0
+        a[:, rng.random(n) < 0.3] = 0
+    return p, a.astype(np.int64)
+
+
+def test_blocked_elimination_matches_reference():
+    """Panels and the in-place loop both reproduce the reference array for array."""
+    rng = np.random.default_rng(2013)
+    paths = set()
+    for _ in range(20):
+        p, a = _blocked_case(rng)
+        for aug in (a, np.concatenate([a, np.eye(a.shape[0], dtype=np.int64)], axis=1)):
+            rows, width = aug.shape
+            paths.add(width > 2 * _PANEL and rows * width >= _BLOCK_MIN)
+            want, want_pivots = gauss_jordan(aug, p, a.shape[1])
+            got = aug.copy()
+            assert _eliminate(got, p, a.shape[1]) == want_pivots, (p, aug.shape)
+            assert got.tolist() == want, (p, aug.shape)
+    assert paths == {True, False}

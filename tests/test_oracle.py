@@ -19,16 +19,20 @@ from polynull import (
 from conftest import make_rng, planted_rank, poly
 
 
-def planted_indices(field, rng):
+def planted_indices(field, rng, degs=None):
     """U @ diag([1; b_1], ..., [1; b_k], 0) @ V with constant U, V and deg b_i = e_i >= 1.
 
     Each 2 x 1 block [1; b] has the one minimal nullspace vector [b, -1]
     of degree deg b, a trailing zero row (when drawn) adds an index 0,
     and constant invertible U and full row-rank V keep the indices while
-    mixing every row.  Returns the matrix and its sorted indices.
+    mixing every row.  ``degs`` fixes the e_i and leaves out the zero row;
+    by default they are drawn.  Returns the matrix and its sorted indices.
     """
-    degs = [rng.randrange(1, 5) for _ in range(rng.randrange(1, 3))]
-    zero_row = rng.random() < 0.5
+    if degs is None:
+        degs = [rng.randrange(1, 5) for _ in range(rng.randrange(1, 3))]
+        zero_row = rng.random() < 0.5
+    else:
+        degs, zero_row = list(degs), False
     k = len(degs)
     rows = 2 * k + zero_row
     d = np.zeros((rows, k, max(degs) + 1), dtype=np.int64)
@@ -128,6 +132,8 @@ class TestKroneckerIndices:
         # still independent there, so the sweep needs indices above delta
         for _ in range(8):
             drawn.append(planted_indices(field, rng))
+        # every index above 3, so the sweep still gains rank at delta = 3
+        drawn.append(planted_indices(field, rng, degs=(4, 6)))
         for m, planted in drawn:
             profile = kronecker_indices(m)
             if planted is not None:

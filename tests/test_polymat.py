@@ -20,7 +20,7 @@ from polynull import (
     tdeg_row,
 )
 from polynull import polymat
-from polynull.polymat import _EXACT, mat_mul_mod, row_tdegs
+from polynull.polymat import _EXACT, const_inv, independent_columns, mat_mul_mod, row_tdegs
 
 from conftest import make_rng, planted_rank, poly, poly_level_matmul, schoolbook_mul
 
@@ -189,6 +189,19 @@ class TestInt64Envelope:
         assert PolyMatrix(f, np.array([[[8, -1, 7, 2**63 - 5]]], dtype=np.int64)).coeffs.tolist() == want
         assert PolyMatrix(f, np.array([[[8, 6, 7, 2**63 - 5]]], dtype=np.uint64)).coeffs.tolist() == want
         assert const_rank([[1, 0], [0, 8]], 7) == 2
+
+    @pytest.mark.parametrize("p", [0, 1, 2**31, 2**61 - 1])
+    def test_modulus_outside_kernel_range_is_refused(self, p):
+        # at 2^61 - 1 the int64 products wrapped: const_inv(a) @ a was not I
+        a = np.array([[1, 2], [3, 5]], dtype=np.int64)
+        for fn in (const_rank, const_kernel, const_inv, lambda m, q: independent_columns(m, q, 2)):
+            with pytest.raises(ValueError, match="modulus"):
+                fn(a, p)
+
+    def test_kernel_names_a_modulus_past_31_bits(self):
+        big = np.full((3, 3), 2**40, dtype=np.int64)
+        with pytest.raises(ValueError, match="modulus"):
+            mat_mul_mod(big, big, 2**61 - 1)
 
 
 class TestPmMul:

@@ -1,20 +1,24 @@
-"""Time ``nullspace`` on the degree ladder, with its lifting and order-basis shares.
+"""Time ``nullspace`` on the degree ladder, with its lifting and order-basis
+shares, and ``pm_mul`` on the product rung, with its Vandermonde inverse.
 
 Usage (from any directory):
 
     python3 tools/ladder.py TREE
 
 TREE is a checkout of this repository; its ``src/polynull`` is imported
-without writing bytecode into TREE.  The input is a planted 32x24 matrix of
-rank 20 over p = 2^31 - 1, M = A @ B with A of degree d // 2 and B of
-degree d - d // 2, for d = 8, 16, 32 and 64; the input seed and the
-``RandomPlan`` seed are fixed, so two trees solve the same problems.
+without writing bytecode into TREE.  The ladder's input is a planted 32x24
+matrix of rank 20 over p = 2^31 - 1, M = A @ B with A of degree d // 2 and
+B of degree d - d // 2, for d = 8, 16, 32 and 64; the input seed and the
+``RandomPlan`` seed are fixed, so two trees solve the same problems.  The
+product rung multiplies two fixed 32x32 matrices of degree d over the same
+p, for d = 16, 32, 64 and 128 (33 to 257 evaluation points).
 
-Prints one JSON line per d: ``total_s`` is the wall time of the
-``nullspace`` call, ``lifting_s`` the time inside ``left_quotient_series``
-and ``sigma_basis_s`` the time inside ``sigma_basis`` (both summed over the
-call), each the median of three calls.  BLAS runs on one thread unless the
-environment says otherwise.
+Prints one JSON line per d and rung: ``total_s`` is the wall time of the
+call; for ``nullspace``, ``lifting_s`` is the time inside
+``left_quotient_series`` and ``sigma_basis_s`` the time inside
+``sigma_basis``; for ``pm_mul``, ``const_inv_s`` is the time inside
+``const_inv``; each summed over the call and the median of three calls.
+BLAS runs on one thread unless the environment says otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from pathlib import Path
 
 M, N, RANK = 32, 24, 20
 DEGREES = (8, 16, 32, 64)
+PRODUCT_SIZE, PRODUCT_DEGREES = 32, (16, 32, 64, 128)
 REPEATS = 3
 INPUT_SEED, PLAN_SEED = 2005, 11
 
@@ -60,9 +65,11 @@ def main(argv=None) -> int:
     if Path(polynull.__file__).resolve() != tree / "src" / "polynull" / "__init__.py":
         sys.exit(f"ladder: imported {polynull.__file__}, not the tree under {tree}")
     ns = sys.modules["polynull.nullspace"]
-    acc = {"lifting_s": 0.0, "sigma_basis_s": 0.0}
+    pm = sys.modules["polynull.polymat"]
+    acc = {"lifting_s": 0.0, "sigma_basis_s": 0.0, "const_inv_s": 0.0}
     ns.left_quotient_series = _timed(ns.left_quotient_series, acc, "lifting_s")
     ns.sigma_basis = _timed(ns.sigma_basis, acc, "sigma_basis_s")
+    pm.const_inv = _timed(pm.const_inv, acc, "const_inv_s")
 
     field = polynull.FieldSpec(polynull.DEFAULT_PRIME)
     for d in DEGREES:
@@ -70,17 +77,34 @@ def main(argv=None) -> int:
         left = polynull.PolyMatrix(field, rng.integers(0, field.p, size=(M, RANK, d // 2 + 1)))
         right = polynull.PolyMatrix(field, rng.integers(0, field.p, size=(RANK, N, d - d // 2 + 1)))
         m = polynull.pm_mul(left, right)
-        runs = []
-        for _ in range(REPEATS):
-            acc.update(lifting_s=0.0, sigma_basis_s=0.0)
-            t0 = time.perf_counter()
-            ans = polynull.nullspace(m, polynull.RandomPlan(seed=PLAN_SEED))
-            runs.append({"total_s": time.perf_counter() - t0, **acc})
-        line = {"m": M, "n": N, "rank": ans.rank, "p": field.p, "d": d}
-        for key in ("total_s", "lifting_s", "sigma_basis_s"):
-            line[key] = round(statistics.median(r[key] for r in runs), 4)
-        print(json.dumps(line), flush=True)
+        runs, ans = _runs(acc, lambda: polynull.nullspace(m, polynull.RandomPlan(seed=PLAN_SEED)))
+        line = {"call": "nullspace", "m": M, "n": N, "rank": ans.rank, "p": field.p, "d": d}
+        _print(line, runs, ("total_s", "lifting_s", "sigma_basis_s"))
+    for d in PRODUCT_DEGREES:
+        rng = np.random.default_rng([INPUT_SEED, PRODUCT_SIZE, d])
+        a, b = (polynull.PolyMatrix(field, rng.integers(0, field.p, size=(PRODUCT_SIZE,) * 2 + (d + 1,)))
+                for _ in range(2))
+        runs, _ = _runs(acc, lambda: polynull.pm_mul(a, b))
+        line = {"call": "pm_mul", "m": PRODUCT_SIZE, "n": PRODUCT_SIZE, "p": field.p, "d": d}
+        _print(line, runs, ("total_s", "const_inv_s"))
     return 0
+
+
+def _runs(acc: dict, call):
+    """REPEATS timed calls, each with ``acc`` zeroed first; (runs, last answer)."""
+    runs = []
+    for _ in range(REPEATS):
+        acc.update(dict.fromkeys(acc, 0.0))
+        t0 = time.perf_counter()
+        ans = call()
+        runs.append({"total_s": time.perf_counter() - t0, **acc})
+    return runs, ans
+
+
+def _print(line: dict, runs: list, keys) -> None:
+    for key in keys:
+        line[key] = round(statistics.median(r[key] for r in runs), 4)
+    print(json.dumps(line), flush=True)
 
 
 if __name__ == "__main__":
