@@ -100,9 +100,10 @@ def _as_array(m0: np.ndarray | Sequence[Sequence[int]], p: int) -> np.ndarray:
 
 
 # Panels once the array has _BLOCK_MIN entries and is wider than a panel's copy.
-# Loop -> panels of 16 (of 32), ms, one BLAS thread, p = 2^31 - 1: 129-point
-# Vandermonde [V | I] 35.7 -> 11.0 (12.5), const_rank 100x120 9.4 -> 3.9 (5.0),
-# 64x64 2.6 -> 1.8 (2.4); below, panels lost 1.2-1.45x (20x60, 120x24).
+# Medians in ms, one BLAS thread, p = 2^31 - 1, loop -> panels of 16 (of 32):
+# [V | I] for the 129-point Vandermonde 35.0 -> 11.8 (12.5), const_rank 100x120
+# 10.6 -> 5.6 (6.3), 64x64 3.0 -> 2.8 (3.1); below 4096 entries, panels of 16
+# lost up to 1.6x (40x60 by 1.2x, 24x48 by 1.5x, 20x60 by 1.6x).
 _PANEL, _BLOCK_MIN = 16, 4096
 
 
@@ -127,7 +128,7 @@ def _eliminate(aug: np.ndarray, p: int, cols: int) -> list[int]:
     pivots: list[int] = []
     for c0 in range(0, cols, _PANEL):
         r, b = len(pivots), min(_PANEL, cols - c0)
-        panel = np.pad(aug[r:, c0 : c0 + b], ((0, 0), (0, b)))
+        panel = np.concatenate([aug[r:, c0 : c0 + b], np.zeros_like(aug[r:, :b])], axis=1)
         order = list(range(len(panel)))
         found = [c0 + j for j in _pivot_loop(panel, p, b, order)]
         if not found:
@@ -167,9 +168,8 @@ def _pivot_loop(aug: np.ndarray, p: int, cols: int, order: list[int] | None = No
         aug[rank] = aug[rank] * pow(int(aug[rank, c]), -1, p) % p
         col = aug[:, c].copy()
         col[rank] = 0
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            aug[nz] = (aug[nz] - col[nz, None] * aug[rank]) % p
+        aug -= col[:, None] * aug[rank]  # rows with a zero in column c do not change
+        aug %= p
         pivots.append(c)
     return pivots
 
