@@ -7,11 +7,16 @@ control: L*G == 0 mod x^order, and any such v decomposes over the rows
 of L without raising the shifted degree.
 
 M-Basis (Beckermann and Labahn 1994; Giorgi, Jeannerod and Villard
-2003) keeps only L.  At order k, L*G vanishes below x^k, and one product
-gives its x^k coefficient.  One constant elimination over the rows with
-a nonzero coefficient, in (shifted degree, index) order, finds their row
-rank profile: every other row loses its combination of earlier pivot
-rows, and the pivot rows are multiplied by x.
+2003) carries the residual beside L: row i of one int64 array is
+[(L*G)_i mod x^order | L_i], each half slab-major.  Every step is a row
+operation (subtract a combination of rows, multiply a row by x), and
+v -> v*G is linear and commutes with x, so the same operation on a whole
+row keeps its left half equal to the new row times G mod x^order.  At
+order k, L*G vanishes below x^k and its x^k slab is read off the array,
+with no product.  One constant elimination over the rows with a nonzero
+residual, in (shifted degree, index) order, finds their row rank
+profile: every other row loses its combination of earlier pivot rows,
+and the pivot rows are multiplied by x.
 
 Invariant: a row is reduced only by earlier pivot rows, whose shifted
 degree is at most its own.  Lower ones miss its leading block, equal ones
@@ -19,8 +24,9 @@ cannot cancel it because L's leading blocks are independent, and x keeps
 it.  So the tracked shifted degrees stay exact and L stays row-reduced.
 
 Entry (i, j) of L has degree at most tdegs[i] + t_j, so L's degree grows
-only while its pivot rows' shifted degrees allow; the products read L's
-slabs only up to that bound, which on nullspace inputs is L's degree.
+only while its pivot rows' shifted degrees allow; the update reads L's
+slabs only up to that bound, which on nullspace inputs is L's degree,
+and L*G's only from x^(k+1) on.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .polymat import PolyMatrix, Shift, _eliminate, mat_mul_mod, row_tdegs
+from .polymat import PolyMatrix, Shift, _eliminate, mat_mul_mod
 
 
 @dataclass(frozen=True)
@@ -59,28 +65,19 @@ def sigma_basis(g: PolyMatrix, order: int, t: Shift) -> SigmaBasis:
         ident = PolyMatrix.identity(field, q)
         return SigmaBasis(ident, tuple(-ti for ti in t))
 
-    # rev[width-1-e] = G_e; in (L*G)_k, L_lo..L_top meet rev[lo+width-1-k:top+width-k]
-    # (G_e for e >= width is zero or at or past x^order, beyond every k, so
-    # the slabs below lo would meet only zeros)
-    width = min(g.coeffs.shape[2], order)
-    rev = np.ascontiguousarray(g.coeffs[:, :, width - 1 :: -1].transpose(2, 0, 1))
-    basis = np.zeros((q, order + 1, q), dtype=np.int64)  # (row, slab, column)
-    basis[np.arange(q), 0, np.arange(q)] = 1
-    tdegs = [-ti for ti in t]
+    # row i is [(L*G)_i mod x^order | L_i], slab-major: slab e of L*G at e*s,
+    # slab e of L at rw + e*q; one row operation on L is the same on L*G
+    width, rw = min(g.coeffs.shape[2], order), order * s
+    w = np.zeros((q, rw + (order + 1) * q), dtype=np.int64)
+    w[:, : width * s] = g.coeffs[:, :, :width].transpose(0, 2, 1).reshape(q, width * s)
+    w[np.arange(q), rw + np.arange(q)] = 1
+    tdegs = [-int(ti) for ti in t]
     tmax = max(t)
     top = 0  # bounds deg L
 
     for k in range(order):
-        # L*G vanishes below x^k
-        lo = max(0, k - width + 1)
-        if lo > top:
-            continue
-        n = top + 1 - lo
-        resid = mat_mul_mod(
-            basis[:, lo : top + 1].reshape(q, n * q),
-            rev[lo + width - 1 - k : top + width - k].reshape(n * q, s),
-            p,
-        )
+        # L*G vanishes below x^k, so its x^k coefficient is the residual
+        resid = w[:, k * s : (k + 1) * s]
         # a stable sort of ascending indices: (shifted degree, index) order
         live = sorted(resid.any(axis=1).nonzero()[0].tolist(), key=tdegs.__getitem__)
         if not live:
@@ -89,24 +86,26 @@ def sigma_basis(g: PolyMatrix, order: int, t: Shift) -> SigmaBasis:
         aug = np.ascontiguousarray(resid[live].T)
         cols = _eliminate(aug, p, len(live))
         piv = [live[c] for c in cols]
+        # L*G's slabs k+1.. and L's slabs ..top are adjacent: one span covers both
+        lo, hi = (k + 1) * s, rw + (top + 1) * q
         if len(piv) < len(live):
             # column c of the reduced aug holds row c's coordinates on the pivots
             dep_cols = [c for c in range(len(live)) if c not in cols]
             dep = [live[c] for c in dep_cols]
             coords = aug[: len(cols), dep_cols].T
-            span = mat_mul_mod(coords, basis[piv, : top + 1].reshape(len(piv), -1), p)
-            basis[dep, : top + 1] = (basis[dep, : top + 1] - span.reshape(len(dep), top + 1, q)) % p
+            span = mat_mul_mod(coords, w[piv, lo:hi], p)
+            w[dep, lo:hi] = (w[dep, lo:hi] - span) % p
         for i in piv:  # multiply by x; per-row basic slices beat a fancy index on small q
-            basis[i, 1 : top + 2] = basis[i, : top + 1]
-            basis[i, 0] = 0
+            w[i, lo:rw] = w[i, k * s : rw - s]
+            w[i, rw + q : hi + q] = w[i, rw:hi]
+            w[i, rw : rw + q] = 0
             tdegs[i] += 1
         # other rows stay within top; a pivot row gains one degree, and
         # deg L_ij <= tdegs[i] + t_j, largest at the last pivot in live order
         top = max(top, min(top + 1, tdegs[piv[-1]] + tmax))
 
-    l_mat = PolyMatrix(field, basis.transpose(0, 2, 1))
-    exact = tuple(int(d) for d in row_tdegs(l_mat, t))
-    return SigmaBasis(l_mat, exact)
+    l_mat = PolyMatrix(field, w[:, rw:].reshape(q, order + 1, q).transpose(0, 2, 1))
+    return SigmaBasis(l_mat, tuple(tdegs))
 
 
 def select_low_rows(basis: SigmaBasis, delta: int | float) -> tuple[int, list[int]]:

@@ -214,8 +214,24 @@ def independent_columns(m0: np.ndarray, p: int, count: int) -> list[int] | None:
 
 
 def const_random(m: int, n: int, field: FieldSpec, rng: random.Random) -> np.ndarray:
-    data = [rng.randrange(field.p) for _ in range(m * n)]
-    return np.array(data, dtype=np.int64).reshape(m, n)
+    return _randrange_draws(rng, field.p, m * n).reshape(m, n)
+
+
+def _randrange_draws(rng: random.Random, p: int, count: int) -> np.ndarray:
+    """``count`` values of ``rng.randrange(p)``, p < 2^32, leaving ``rng`` as that loop would.
+
+    randrange keeps the top p.bit_length() bits of the next 32-bit word and
+    redraws while the value is >= p; getrandbits(32 * n) returns the next n
+    words, the first in the lowest bits.  Drawing only as many words as
+    values are still needed never draws past the loop's last word.
+    """
+    out = np.empty(0, dtype=np.int64)
+    while out.size < count:
+        need = count - out.size
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), dtype="<u4")
+        vals = (words >> (32 - p.bit_length())).astype(np.int64)
+        out = np.concatenate([out, vals[vals < p]])
+    return out
 
 
 def _power_table(points: np.ndarray, degree: int, p: int) -> np.ndarray:
@@ -419,8 +435,7 @@ def vstack(*parts: PolyMatrix) -> PolyMatrix:
 
 def pm_random(m: int, n: int, d: int, field: FieldSpec, rng: random.Random) -> PolyMatrix:
     """Uniform random m x n matrix of degree at most d."""
-    data = [rng.randrange(field.p) for _ in range(m * n * (d + 1))]
-    return PolyMatrix(field, np.array(data, dtype=np.int64).reshape(m, n, d + 1))
+    return PolyMatrix(field, _randrange_draws(rng, field.p, m * n * (d + 1)).reshape(m, n, d + 1))
 
 
 def _mul_eval_interp(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -12,6 +12,7 @@ from polynull import (
     PolyMatrix,
     kernel_linearized,
     pm_mul,
+    pm_mul_mod,
     pm_random,
     select_low_rows,
     series_inverse,
@@ -22,7 +23,7 @@ from polynull.polymat import const_rank, is_row_reduced, row_tdegs, vstack
 
 from conftest import make_rng, poly, poly_level_matmul
 
-# 2 and 3 take the one-dgemm branch of the residual product, 2^31 - 1 the limb one
+# 2 and 3 take the one-dgemm branch of the update product, 2^31 - 1 the limb one
 PRIMES = (2, 3, 1009, 2**31 - 1)
 
 
@@ -153,6 +154,29 @@ def test_sigma_basis_properties(case):
     for tau in range(min(basis.tdegs) - 1, max(basis.tdegs) + 2):
         want = sum(max(0, tau - td + 1) for td in basis.tdegs)
         assert _bounded_annihilator_dim(g, t, tau, order) == want, tau
+
+
+def _scale_cases():
+    """(g, order, t) at p = 2^31 - 1 and the sizes the workloads reach."""
+    field, rng = FieldSpec(), make_rng(41)
+    d = 32  # the nullspace's generator [-I; H] with its compression shift
+    h = random_series(field, 12, 12, 97, rng)
+    gen = vstack(-PolyMatrix.identity(field, 12), h)
+    yield pytest.param(gen, 97, [d - 1] * 12 + [0] * 12, id="nullspace-24x12")
+    t = [rng.randrange(-3, 5) for _ in range(60)]
+    yield pytest.param(random_series(field, 60, 20, 16, rng), 16, t, id="60x20")
+    yield pytest.param(random_series(field, 5, 1, 30, rng), 30, [0, 2, 1, 0, 3], id="5x1")
+    late = random_series(field, 8, 3, 14, rng).coeffs.copy()
+    late[:, :, :4] = 0  # the residual is zero for the first orders
+    yield pytest.param(PolyMatrix(field, late), 14, [1, 0, 0, 2, 0, 1, 0, 0], id="zero-first-slabs")
+
+
+@pytest.mark.parametrize("g, order, t", list(_scale_cases()))
+def test_sigma_basis_at_workload_scale(g, order, t):
+    basis = sigma_basis(g, order, t)
+    assert pm_mul_mod(basis.L, g, order).is_zero()
+    assert is_row_reduced(basis.L, t)
+    assert basis.tdegs == tuple(int(d) for d in row_tdegs(basis.L, t))
 
 
 class TestSelectLowRows:

@@ -10,6 +10,7 @@ from polynull import (
     Poly,
     PolyMatrix,
     const_kernel,
+    const_random,
     const_rank,
     is_row_reduced,
     leading_row_matrix,
@@ -20,7 +21,7 @@ from polynull import (
     tdeg_row,
 )
 from polynull import polymat
-from polynull.polymat import _EXACT, const_inv, independent_columns, mat_mul_mod, row_tdegs
+from polynull.polymat import _EXACT, _randrange_draws, const_inv, independent_columns, mat_mul_mod, row_tdegs
 
 from conftest import make_rng, planted_rank, poly, poly_level_matmul, schoolbook_mul
 
@@ -536,3 +537,26 @@ class TestEvaluationRank:
             r = rank_oracle(m)
             for pt in (0, 1, rng.randrange(field.p)):
                 assert const_rank(m.eval(pt), field.p) <= r
+
+
+class TestRandomDraws:
+    # the draws reproduce CPython's randrange, which keeps the top bits of
+    # each 32-bit word and redraws past p: the values and the state after
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 1009, 65537, MERSENNE])
+    @pytest.mark.parametrize("count", [0, 1, 3, 4099])
+    def test_same_values_and_state_as_randrange(self, p, count):
+        ref, rng = make_rng(p + count), make_rng(p + count)
+        want = [ref.randrange(p) for _ in range(count)]
+        got = _randrange_draws(rng, p, count)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert rng.getstate() == ref.getstate()
+
+    def test_matrices_draw_row_major(self):
+        field = FieldSpec(1009)
+        ref, rng = make_rng(16), make_rng(16)
+        want = [ref.randrange(field.p) for _ in range(2 * 3 + 2 * 3 * 4)]
+        c = const_random(2, 3, field, rng)
+        m = pm_random(2, 3, 3, field, rng)
+        assert c.tolist() == np.reshape(want[:6], (2, 3)).tolist()
+        assert m == PolyMatrix(field, np.reshape(want[6:], (2, 3, 4)))
+        assert rng.getstate() == ref.getstate()

@@ -18,6 +18,11 @@ call; for ``nullspace``, ``lifting_s`` is the time inside
 ``left_quotient_series`` and ``sigma_basis_s`` the time inside
 ``sigma_basis``; for ``pm_mul``, ``const_inv_s`` is the time inside
 ``const_inv``; each summed over the call and the median of three calls.
+Each ``nullspace`` line also times one 32x24 by 24x24 ``pm_mul`` of the
+same degree d in the same process (``pm_mul_s``, median of three) and
+gives ``mm_ratio``, the ``nullspace`` median over that product's: the
+paper puts ``nullspace`` at a constant times one such product, up to
+logarithmic factors, so a ratio that grows with d measures the distance.
 BLAS runs on one thread unless the environment says otherwise.
 """
 
@@ -78,8 +83,13 @@ def main(argv=None) -> int:
         right = polynull.PolyMatrix(field, rng.integers(0, field.p, size=(RANK, N, d - d // 2 + 1)))
         m = polynull.pm_mul(left, right)
         runs, ans = _runs(acc, lambda: polynull.nullspace(m, polynull.RandomPlan(seed=PLAN_SEED)))
+        a, b = (polynull.PolyMatrix(field, rng.integers(0, field.p, size=(rows, N, d + 1))) for rows in (M, N))
+        mm_runs, _ = _runs(acc, lambda: polynull.pm_mul(a, b))
+        mm_s = statistics.median(r["total_s"] for r in mm_runs)
         line = {"call": "nullspace", "m": M, "n": N, "rank": ans.rank, "p": field.p, "d": d}
-        _print(line, runs, ("total_s", "lifting_s", "sigma_basis_s"))
+        total_s = statistics.median(r["total_s"] for r in runs)
+        _print(line, runs, ("total_s", "lifting_s", "sigma_basis_s"),
+               pm_mul_s=round(mm_s, 4), mm_ratio=round(total_s / mm_s, 1))
     for d in PRODUCT_DEGREES:
         rng = np.random.default_rng([INPUT_SEED, PRODUCT_SIZE, d])
         a, b = (polynull.PolyMatrix(field, rng.integers(0, field.p, size=(PRODUCT_SIZE,) * 2 + (d + 1,)))
@@ -101,9 +111,10 @@ def _runs(acc: dict, call):
     return runs, ans
 
 
-def _print(line: dict, runs: list, keys) -> None:
+def _print(line: dict, runs: list, keys, **extra) -> None:
     for key in keys:
         line[key] = round(statistics.median(r[key] for r in runs), 4)
+    line.update(extra)
     print(json.dumps(line), flush=True)
 
 
