@@ -16,13 +16,13 @@ Two levels:
   rank r, a random column compression reduces to r columns, a random
   mix of all rows into the top r makes them independent, and
   ``_harvest`` stacks minimal-vectors calls until the m - r rows below
-  the top are closed.  While more rows are open than the top has,
-  fixed-size row blocks at the input's degree each close as many rows
-  as they add; then halving passes keep every vector under a threshold
-  that doubles as the open count halves, trading dimension for degree
-  (the paper's 2n x n step, run inside every call).  One exact product
-  plus an evaluation-rank certificate either proves the answer or
-  rejects the attempt.
+  the top are closed.  While more rows are open than the top has, a
+  block of up to max(2r, ``_HARVEST_ROWS``) open rows at the input's
+  degree closes all but r of them; then halving passes keep every
+  vector under a threshold that doubles as the open count halves,
+  trading dimension for degree (the paper's 2n x n step, run inside
+  every call).  One exact product plus an evaluation-rank certificate
+  either proves the answer or rejects the attempt.
 
 Every certified return is correct; bad random draws surface as ``Fail``
 and the public wrappers resample up to ``plan.max_retries`` times.
@@ -220,23 +220,33 @@ def nullspace_minimal_vectors(
     return _retry(plan, lambda: _minimal_vectors_once(m, delta, plan))
 
 
+# Open rows per harvest below a low-rank top (2*top once that is more).
+# tools/ladder.py height rung, m x 24, d = 4, s, 2*top -> 64 (128): rank 2,
+# m = 96 0.20-0.24 -> 0.04 (0.03-0.04), m = 480 1.1-1.4 -> 0.37-0.44 (0.35-0.46);
+# rank 20, m = 480 0.60-0.70 -> 0.53-0.57 (0.47-0.54).  128 raised the 120x24
+# peak RSS by 6%; no cap took 111 MB at m = 480, rank 20, against 82 MB.
+_HARVEST_ROWS = 64
+
+
 def _harvest(conditioned: PolyMatrix, top: int, d: int, plan: RandomPlan) -> list[PolyMatrix]:
     """Nullspace vectors of ``conditioned`` at full width, one stack per
     harvest, until every row below the first ``top`` is closed.
 
-    While more than ``top`` rows are open, the first ``2*top`` of them
-    (with the top rows) are harvested at degree ``d`` and the first
-    ``len(chunk) - top`` vectors kept; then halving passes keep every
-    vector (at least one) under ``ceil(2*top*d / open)``.  A harvest
-    closes as many open rows as it keeps vectors, where the vectors are
-    independent at a random point, which proves it for the polynomial
-    columns (evaluation only loses rank).
+    While more than ``top`` rows are open, the first c (at most
+    max(2*top, ``_HARVEST_ROWS``)) are harvested with the top rows at
+    degree ``d`` and c - top vectors kept.  There are that many: the
+    (top + c) x top block has full column rank (its top block is
+    nonsingular at a random point), so its c left minimal indices sum to
+    at most top*d and fewer than top of them exceed d.  Then halving
+    passes keep every vector (at least one) under ``ceil(2*top*d / open)``.
+    Each kept vector closes one open row, certified by independence at a
+    random point (evaluation only loses rank).
     """
     field = conditioned.field
     open_rows = list(range(top, conditioned.rows))
     harvested: list[PolyMatrix] = []
     while open_rows:
-        chunk = open_rows[: 2 * top]
+        chunk = open_rows[: max(2 * top, _HARVEST_ROWS)]
         if len(open_rows) > top:
             delta, need = d, len(chunk) - top
         else:

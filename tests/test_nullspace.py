@@ -326,6 +326,58 @@ class TestNullspaceDriver:
         assert all(rows_annihilate(res.basis, m))
 
 
+def certified(res, m):
+    """The answer's rank is the oracle's, and its basis has m - rank rows that
+    annihilate m and are independent (full rank at some point of the field)."""
+    p = m.field.p
+    if res.rank != rank_oracle(m) or res.basis.rows != m.rows - res.rank:
+        return False
+    if not all(rows_annihilate(res.basis, m)):
+        return False
+    return any(const_rank(res.basis.eval(a), p) == res.basis.rows for a in range(min(p, 256)))
+
+
+class TestWideHarvest:
+    """Below a low-rank top a harvest opens up to ``_HARVEST_ROWS`` rows, not 2r."""
+
+    def test_tall_rank_one_in_two_harvests(self, field, harvests):
+        m_rows, r, d = 24, 1, 2
+        m = planted_rank(field, m_rows, 3, r, d, make_rng(30))
+        res = nullspace(m, RandomPlan(31))
+        assert harvests() <= 2
+        assert certified(res, m)
+        assert res.degree_sum <= (m_rows - r) * d
+
+    def test_harvest_rows_capped(self, field, monkeypatch):
+        cap, top = nullspace_module._HARVEST_ROWS, 2
+        m = planted_rank(field, cap + 40, 4, top, 1, make_rng(32))
+        real, heights = nullspace_module._minimal_vectors_once, []
+
+        def recorded(sub, delta, plan):
+            heights.append(sub.rows)
+            return real(sub, delta, plan)
+
+        monkeypatch.setattr(nullspace_module, "_minimal_vectors_once", recorded)
+        res = nullspace(m, RandomPlan(33))
+        assert certified(res, m)
+        # every harvest within the cap, and the widest at it
+        assert max(heights) == top + max(2 * top, cap)
+
+    def test_small_prime_tall_low_rank_all_certified(self):
+        # a failure-rate regression at one small prime: few, wide harvests
+        # draw few random points, so every call answers within the default
+        # retry budget
+        small = FieldSpec(101)
+        rng = make_rng(34)
+        for trial in range(60):
+            n_cols = rng.randrange(1, 9)
+            m_rows = rng.randrange(n_cols + 1, 25)
+            r = rng.randrange(1, min(3, n_cols) + 1)
+            m = planted_rank(small, m_rows, n_cols, r, rng.randrange(4), rng)
+            res = nullspace(m, RandomPlan(rng.randrange(2**63)))
+            assert certified(res, m), trial
+
+
 class TestSmallField:
     def test_sound_over_small_prime(self):
         # collisions are frequent at p = 101; failures are fine, wrong

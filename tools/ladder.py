@@ -19,10 +19,18 @@ call; for ``nullspace``, ``lifting_s`` is the time inside
 ``sigma_basis``; for ``pm_mul``, ``const_inv_s`` is the time inside
 ``const_inv``; each summed over the call and the median of three calls.
 Each ``nullspace`` line also times one 32x24 by 24x24 ``pm_mul`` of the
-same degree d in the same process (``pm_mul_s``, median of three) and
-gives ``mm_ratio``, the ``nullspace`` median over that product's: the
-paper puts ``nullspace`` at a constant times one such product, up to
-logarithmic factors, so a ratio that grows with d measures the distance.
+same degree d in the same process (``pm_mul_s``, median of nine: a median
+of three moved by up to 1.5x between rounds on one tree) and gives
+``mm_ratio``, the ``nullspace`` median over that product's: the paper puts
+``nullspace`` at a constant times one such product, up to logarithmic
+factors, so a ratio that grows with d measures the distance.
+
+The height rung solves planted m x 24 inputs of degree 4 at rank 2 and 20,
+for m = 48, 96, 192, 384 and 480: ``total_s`` (median of three), the
+number of harvests (minimal-vectors calls, retries included) in the last
+call and its ``degree_sum``.  It is the measurement behind
+``nullspace``'s ``_HARVEST_ROWS``, the rows a harvest may open below a
+low-rank top.
 BLAS runs on one thread unless the environment says otherwise.
 """
 
@@ -39,7 +47,8 @@ from pathlib import Path
 M, N, RANK = 32, 24, 20
 DEGREES = (8, 16, 32, 64)
 PRODUCT_SIZE, PRODUCT_DEGREES = 32, (16, 32, 64, 128)
-REPEATS = 3
+HEIGHT_N, HEIGHT_D, HEIGHT_RANKS, HEIGHTS = 24, 4, (2, 20), (48, 96, 192, 384, 480)
+REPEATS, PRODUCT_REPEATS = 3, 9
 INPUT_SEED, PLAN_SEED = 2005, 11
 
 
@@ -50,6 +59,14 @@ def _timed(fn, acc: dict, key: str):
             return fn(*args)
         finally:
             acc[key] += time.perf_counter() - t0
+
+    return wrapper
+
+
+def _counted(fn, acc: dict, key: str):
+    def wrapper(*args):
+        acc[key] += 1
+        return fn(*args)
 
     return wrapper
 
@@ -71,25 +88,33 @@ def main(argv=None) -> int:
         sys.exit(f"ladder: imported {polynull.__file__}, not the tree under {tree}")
     ns = sys.modules["polynull.nullspace"]
     pm = sys.modules["polynull.polymat"]
-    acc = {"lifting_s": 0.0, "sigma_basis_s": 0.0, "const_inv_s": 0.0}
+    acc = {"lifting_s": 0.0, "sigma_basis_s": 0.0, "const_inv_s": 0.0, "harvests": 0}
     ns.left_quotient_series = _timed(ns.left_quotient_series, acc, "lifting_s")
     ns.sigma_basis = _timed(ns.sigma_basis, acc, "sigma_basis_s")
     pm.const_inv = _timed(pm.const_inv, acc, "const_inv_s")
+    ns._minimal_vectors_once = _counted(ns._minimal_vectors_once, acc, "harvests")
 
     field = polynull.FieldSpec(polynull.DEFAULT_PRIME)
     for d in DEGREES:
         rng = np.random.default_rng([INPUT_SEED, d])
-        left = polynull.PolyMatrix(field, rng.integers(0, field.p, size=(M, RANK, d // 2 + 1)))
-        right = polynull.PolyMatrix(field, rng.integers(0, field.p, size=(RANK, N, d - d // 2 + 1)))
-        m = polynull.pm_mul(left, right)
+        m = _planted(polynull, field, rng, M, N, RANK, d)
         runs, ans = _runs(acc, lambda: polynull.nullspace(m, polynull.RandomPlan(seed=PLAN_SEED)))
         a, b = (polynull.PolyMatrix(field, rng.integers(0, field.p, size=(rows, N, d + 1))) for rows in (M, N))
-        mm_runs, _ = _runs(acc, lambda: polynull.pm_mul(a, b))
+        mm_runs, _ = _runs(acc, lambda: polynull.pm_mul(a, b), PRODUCT_REPEATS)
         mm_s = statistics.median(r["total_s"] for r in mm_runs)
         line = {"call": "nullspace", "m": M, "n": N, "rank": ans.rank, "p": field.p, "d": d}
         total_s = statistics.median(r["total_s"] for r in runs)
         _print(line, runs, ("total_s", "lifting_s", "sigma_basis_s"),
                pm_mul_s=round(mm_s, 4), mm_ratio=round(total_s / mm_s, 1))
+    for rank in HEIGHT_RANKS:
+        for m_rows in HEIGHTS:
+            rng = np.random.default_rng([INPUT_SEED, m_rows, rank])
+            m = _planted(polynull, field, rng, m_rows, HEIGHT_N, rank, HEIGHT_D)
+            runs, ans = _runs(acc, lambda: polynull.nullspace(m, polynull.RandomPlan(seed=PLAN_SEED)))
+            line = {"call": "nullspace", "rung": "height", "m": m_rows, "n": HEIGHT_N,
+                    "rank": ans.rank, "p": field.p, "d": HEIGHT_D}
+            _print(line, runs, ("total_s",),
+                   harvests=runs[-1]["harvests"], degree_sum=ans.degree_sum)
     for d in PRODUCT_DEGREES:
         rng = np.random.default_rng([INPUT_SEED, PRODUCT_SIZE, d])
         a, b = (polynull.PolyMatrix(field, rng.integers(0, field.p, size=(PRODUCT_SIZE,) * 2 + (d + 1,)))
@@ -100,11 +125,18 @@ def main(argv=None) -> int:
     return 0
 
 
-def _runs(acc: dict, call):
-    """REPEATS timed calls, each with ``acc`` zeroed first; (runs, last answer)."""
+def _planted(polynull, field, rng, rows: int, cols: int, rank: int, d: int):
+    """A @ B with A rows x rank of degree d // 2 and B rank x cols of degree d - d // 2."""
+    left = polynull.PolyMatrix(field, rng.integers(0, field.p, size=(rows, rank, d // 2 + 1)))
+    right = polynull.PolyMatrix(field, rng.integers(0, field.p, size=(rank, cols, d - d // 2 + 1)))
+    return polynull.pm_mul(left, right)
+
+
+def _runs(acc: dict, call, repeats: int = REPEATS):
+    """``repeats`` timed calls, each with ``acc`` zeroed first; (runs, last answer)."""
     runs = []
-    for _ in range(REPEATS):
-        acc.update(dict.fromkeys(acc, 0.0))
+    for _ in range(repeats):
+        acc.update(dict.fromkeys(acc, 0))
         t0 = time.perf_counter()
         ans = call()
         runs.append({"total_s": time.perf_counter() - t0, **acc})
