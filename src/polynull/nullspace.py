@@ -304,11 +304,13 @@ def _nullspace_once(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
     if const_rank(conditioned.block(0, r0, 0, r0).eval(probe), field.p) < r0:
         raise SingularAtZero("conditioned top block still evaluates singular")
 
-    harvested = _harvest(conditioned, r0, _degree_int(conditioned), plan)
-    uncondition = np.zeros((rows, rows), dtype=np.int64)
-    uncondition[:r0] = mix
-    uncondition[np.arange(r0, rows), np.arange(r0, rows)] = 1
-    basis = vstack(*harvested) @ PolyMatrix.from_const(field, uncondition)
+    # uncondition: H @ [[mix], [0 | I]] mixes H's first r0 columns and keeps the rest
+    h = vstack(*_harvest(conditioned, r0, _degree_int(conditioned), plan))
+    head = (h.block(0, h.rows, 0, r0) @ PolyMatrix.from_const(field, mix)).coeffs
+    c = h.coeffs.copy()
+    c[:, :r0] = 0
+    c[:, :, : head.shape[2]] += head
+    basis = PolyMatrix(field, c)
 
     if not all(rows_annihilate(basis, m)):
         raise RankCandidateWrong("candidate basis does not annihilate the input")

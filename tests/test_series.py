@@ -1,5 +1,7 @@
 """x-adic expansion of B * A^(-1)."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,7 +135,7 @@ def _entries(draw, p, shape):
 
 @st.composite
 def lifting_cases(draw):
-    """(a, b, eta): A n x n with A(0) invertible, zeroed middle slabs; B rows x n."""
+    """(a, b, eta): A n x n with A(0) invertible, zeroed middle slabs; B 0..2n+1 rows x n."""
     p = draw(st.sampled_from(PRIMES))
     field = FieldSpec(p)
     n, da = draw(st.integers(1, 5)), draw(st.integers(0, 8))
@@ -149,7 +151,8 @@ def lifting_cases(draw):
     upper = np.triu(c0, 1) + diag
     c[:, :, 0] = (lower @ upper % p).astype(np.int64)
     eta = draw(st.one_of(st.integers(0, 40), st.sampled_from(DOUBLING_ETAS), st.integers(0, da)))
-    b = _entries(draw, p, (draw(st.integers(1, 3)), n, draw(st.integers(1, 9))))
+    # B with no rows up to more rows than A (the wide harvests lift 64 x 20), stored past eta
+    b = _entries(draw, p, (draw(st.integers(0, 2 * n + 1)), n, draw(st.integers(1, eta + 3))))
     return PolyMatrix(field, c), PolyMatrix(field, b), eta
 
 
@@ -165,6 +168,48 @@ def test_lifting_properties(case):
     referee = newton_referee(a, eta)
     assert x == referee
     h = left_quotient_series(b, a, eta)
-    assert h.degree < eta
-    assert poly_level_matmul(h, a).truncate(eta) == b.truncate(eta)
+    assert (h.rows, h.cols) == (b.rows, a.cols) and h.degree < eta
+    if b.rows:  # the scalar product needs at least one entry
+        assert poly_level_matmul(h, a).truncate(eta) == b.truncate(eta)
     assert h == pm_mul_mod(b, referee, eta)
+
+
+def test_lifting_at_workload_scale():
+    """lift-deep's lift: B 12 x 20 over A 20 x 20 of degree 32 to order 193.
+
+    The recurrence's windows reach inner size 32 * 20 = 640, the kernel's
+    three-limb branch at p = 2^31 - 1.
+    """
+    field = FieldSpec(2**31 - 1)
+    rng = np.random.default_rng(193)
+    a = PolyMatrix(field, rng.integers(0, field.p, size=(20, 20, 33)))
+    b = PolyMatrix(field, rng.integers(0, field.p, size=(12, 20, 33)))
+    assert const_rank(a.eval(0), field.p) == 20
+    h = left_quotient_series(b, a, 193)
+    assert h == pm_mul_mod(b, newton_referee(a, 193), 193)
+    assert pm_mul_mod(h, a, 193) == b
+
+
+@pytest.mark.parametrize(
+    "rows, n, deg_a, eta, width",
+    [(5, 3, 4, 12, 14), (3, 4, 9, 5, 2), (0, 2, 3, 6, 1), (2, 3, 0, 7, 3), (4, 2, 2, 1, 3)],
+)
+def test_lifting_kernel_work(monkeypatch, rows, n, deg_a, eta, width):
+    """The S_j (A's slabs clipped below eta), every stored B_k below eta, then
+    one kernel call per order k >= 1 over the last min(k, da) slabs of H."""
+    field, rng = FieldSpec(1009), make_rng(17)
+    a = invertible_at_zero(field, n, deg_a, rng)
+    b = PolyMatrix(field, np.ones((rows, n, width), dtype=np.int64))
+    calls = []
+    series = sys.modules["polynull.series"]
+    kernel = series.mat_mul_mod
+
+    def counted(x, y, p):
+        calls.append(x.shape[0] * x.shape[1] * y.shape[1])
+        return kernel(x, y, p)
+
+    monkeypatch.setattr(series, "mat_mul_mod", counted)
+    left_quotient_series(b, a, eta)
+    da = min(a.coeffs.shape[2] - 1, eta - 1)
+    loop = [rows * min(k, da) * n * n for k in range(1, eta) if da]
+    assert calls == [da * n * n * n, min(width, eta) * rows * n * n] + loop

@@ -15,9 +15,11 @@ p, for d = 16, 32, 64 and 128 (33 to 257 evaluation points).
 
 Prints one JSON line per d and rung: ``total_s`` is the wall time of the
 call; for ``nullspace``, ``lifting_s`` is the time inside
-``left_quotient_series`` and ``sigma_basis_s`` the time inside
-``sigma_basis``; for ``pm_mul``, ``const_inv_s`` is the time inside
-``const_inv``; each summed over the call and the median of three calls.
+``left_quotient_series``, ``sigma_basis_s`` the time inside
+``sigma_basis`` and ``certify_s`` the time inside the certificates
+``rows_annihilate`` and ``is_row_reduced``; for ``pm_mul``,
+``const_inv_s`` is the time inside ``const_inv``; each summed over the
+call and the median of three calls.
 Each ``nullspace`` line also times one 32x24 by 24x24 ``pm_mul`` of the
 same degree d in the same process (``pm_mul_s``, median of nine: a median
 of three moved by up to 1.5x between rounds on one tree) and gives
@@ -26,9 +28,9 @@ of three moved by up to 1.5x between rounds on one tree) and gives
 factors, so a ratio that grows with d measures the distance.
 
 The height rung solves planted m x 24 inputs of degree 4 at rank 2 and 20,
-for m = 48, 96, 192, 384 and 480: ``total_s`` (median of three), the
-number of harvests (minimal-vectors calls, retries included) in the last
-call and its ``degree_sum``.  It is the measurement behind
+for m = 48, 96, 192, 384 and 480: ``total_s`` and ``certify_s`` (medians
+of three), the number of harvests (minimal-vectors calls, retries
+included) in the last call and its ``degree_sum``.  It is the measurement behind
 ``nullspace``'s ``_HARVEST_ROWS``, the rows a harvest may open below a
 low-rank top.
 BLAS runs on one thread unless the environment says otherwise.
@@ -88,9 +90,11 @@ def main(argv=None) -> int:
         sys.exit(f"ladder: imported {polynull.__file__}, not the tree under {tree}")
     ns = sys.modules["polynull.nullspace"]
     pm = sys.modules["polynull.polymat"]
-    acc = {"lifting_s": 0.0, "sigma_basis_s": 0.0, "const_inv_s": 0.0, "harvests": 0}
+    acc = {"lifting_s": 0.0, "sigma_basis_s": 0.0, "certify_s": 0.0, "const_inv_s": 0.0, "harvests": 0}
     ns.left_quotient_series = _timed(ns.left_quotient_series, acc, "lifting_s")
     ns.sigma_basis = _timed(ns.sigma_basis, acc, "sigma_basis_s")
+    ns.rows_annihilate = _timed(ns.rows_annihilate, acc, "certify_s")
+    ns.is_row_reduced = _timed(ns.is_row_reduced, acc, "certify_s")
     pm.const_inv = _timed(pm.const_inv, acc, "const_inv_s")
     ns._minimal_vectors_once = _counted(ns._minimal_vectors_once, acc, "harvests")
 
@@ -104,7 +108,7 @@ def main(argv=None) -> int:
         mm_s = statistics.median(r["total_s"] for r in mm_runs)
         line = {"call": "nullspace", "m": M, "n": N, "rank": ans.rank, "p": field.p, "d": d}
         total_s = statistics.median(r["total_s"] for r in runs)
-        _print(line, runs, ("total_s", "lifting_s", "sigma_basis_s"),
+        _print(line, runs, ("total_s", "lifting_s", "sigma_basis_s", "certify_s"),
                pm_mul_s=round(mm_s, 4), mm_ratio=round(total_s / mm_s, 1))
     for rank in HEIGHT_RANKS:
         for m_rows in HEIGHTS:
@@ -113,7 +117,7 @@ def main(argv=None) -> int:
             runs, ans = _runs(acc, lambda: polynull.nullspace(m, polynull.RandomPlan(seed=PLAN_SEED)))
             line = {"call": "nullspace", "rung": "height", "m": m_rows, "n": HEIGHT_N,
                     "rank": ans.rank, "p": field.p, "d": HEIGHT_D}
-            _print(line, runs, ("total_s",),
+            _print(line, runs, ("total_s", "certify_s"),
                    harvests=runs[-1]["harvests"], degree_sum=ans.degree_sum)
     for d in PRODUCT_DEGREES:
         rng = np.random.default_rng([INPUT_SEED, PRODUCT_SIZE, d])
