@@ -30,9 +30,9 @@ factors, so a ratio that grows with d measures the distance.
 The height rung solves planted m x 24 inputs of degree 4 at rank 2 and 20,
 for m = 48, 96, 192, 384 and 480: ``total_s`` and ``certify_s`` (medians
 of three), the number of harvests (minimal-vectors calls, retries
-included) in the last call and its ``degree_sum``.  It is the measurement behind
-``nullspace``'s ``_HARVEST_ROWS``, the rows a harvest may open below a
-low-rank top.
+included) in the last call and its ``degree_sum``.  It is the
+measurement behind ``nullspace``'s ``_HARVEST_ROWS``, the rows a harvest
+may open below a low-rank top.
 BLAS runs on one thread unless the environment says otherwise.
 """
 
