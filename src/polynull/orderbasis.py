@@ -27,6 +27,13 @@ Entry (i, j) of L has degree at most tdegs[i] + t_j, so L's degree grows
 only while its pivot rows' shifted degrees allow; the update reads L's
 slabs only up to that bound, which on nullspace inputs is L's degree,
 and L*G's only from x^(k+1) on.
+
+Forced runs: if every live row pivots at order k, times x the live block
+is the next residual, so until slab j, the first where another row has a
+residual, every order pivots the same rows in the same order; they are
+multiplied by x^(j-k) at once.  Per order the bound goes to max(top,
+min(top + 1, b)) with b rising by one: it holds top until b passes it,
+then adds one, so over n orders it is max(top, min(top + n, b_n)).
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .polymat import PolyMatrix, Shift, _eliminate, mat_mul_mod
+from .polymat import PolyMatrix, Shift, _eliminate, _reduce, mat_mul_mod
 
 
 @dataclass(frozen=True)
@@ -73,14 +80,15 @@ def sigma_basis(g: PolyMatrix, order: int, t: Shift) -> SigmaBasis:
     w[np.arange(q), rw + np.arange(q)] = 1
     tdegs = [-int(ti) for ti in t]
     tmax = max(t)
-    top = 0  # bounds deg L
+    k, top = 0, 0  # the order, and a bound on deg L
 
-    for k in range(order):
+    while k < order:
         # L*G vanishes below x^k, so its x^k coefficient is the residual
         resid = w[:, k * s : (k + 1) * s]
         # a stable sort of ascending indices: (shifted degree, index) order
         live = sorted(resid.any(axis=1).nonzero()[0].tolist(), key=tdegs.__getitem__)
         if not live:
+            k += 1
             continue
         # the live rows as columns: their column rank profile is the row one
         aug = np.ascontiguousarray(resid[live].T)
@@ -88,21 +96,26 @@ def sigma_basis(g: PolyMatrix, order: int, t: Shift) -> SigmaBasis:
         piv = [live[c] for c in cols]
         # L*G's slabs k+1.. and L's slabs ..top are adjacent: one span covers both
         lo, hi = (k + 1) * s, rw + (top + 1) * q
+        step = 1
         if len(piv) < len(live):
             # column c of the reduced aug holds row c's coordinates on the pivots
             dep_cols = [c for c in range(len(live)) if c not in cols]
             dep = [live[c] for c in dep_cols]
             coords = aug[: len(cols), dep_cols].T
             span = mat_mul_mod(coords, w[piv, lo:hi], p)
-            w[dep, lo:hi] = (w[dep, lo:hi] - span) % p
-        for i in piv:  # multiply by x; per-row basic slices beat a fancy index on small q
-            w[i, lo:rw] = w[i, k * s : rw - s]
-            w[i, rw + q : hi + q] = w[i, rw:hi]
-            w[i, rw : rw + q] = 0
-            tdegs[i] += 1
-        # other rows stay within top; a pivot row gains one degree, and
+            w[dep, lo:hi] = _reduce(w[dep, lo:hi] - span, p)
+        else:  # a forced run to slab k + step, the first where another row is live
+            rest = np.delete(w[:, lo:rw], piv, axis=0).any(axis=0)
+            step = int(rest.argmax()) // s + 1 if rest.any() else order - k
+        for i in piv:  # multiply by x^step; per-row basic slices beat a fancy index on small q
+            w[i, (k + step) * s : rw] = w[i, k * s : rw - step * s]
+            w[i, rw + step * q : hi + step * q] = w[i, rw:hi]
+            w[i, rw : rw + step * q] = 0
+            tdegs[i] += step
+        # other rows stay within top; a pivot row gains a degree per order, and
         # deg L_ij <= tdegs[i] + t_j, largest at the last pivot in live order
-        top = max(top, min(top + 1, tdegs[piv[-1]] + tmax))
+        top = max(top, min(top + step, tdegs[piv[-1]] + tmax))
+        k += step
 
     l_mat = PolyMatrix(field, w[:, rw:].reshape(q, order + 1, q).transpose(0, 2, 1))
     return SigmaBasis(l_mat, tuple(tdegs))

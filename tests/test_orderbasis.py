@@ -1,5 +1,6 @@
 """Shifted order basis computation and row selection."""
 
+import itertools
 import math
 
 import numpy as np
@@ -123,7 +124,10 @@ class TestSigmaBasis:
 
 @st.composite
 def series_cases(draw):
-    """(g, order, t): q x s matrix with zero slabs, stored up to two slabs past the order."""
+    """(g, order, t): q x s matrix with zero slabs, stored up to two slabs past the order.
+
+    Whole slabs are zeroed across all rows, and each row also loses a drawn
+    prefix of slabs, so some rows turn live only after others have pivoted."""
     p = draw(st.sampled_from(PRIMES))
     q, s = draw(st.integers(1, 6)), draw(st.integers(0, 8))
     order = draw(st.integers(0, 6))
@@ -136,6 +140,8 @@ def series_cases(draw):
         c = np.full((q, s, width), p - 1, dtype=np.int64)
     for e in draw(st.sets(st.integers(0, width - 1), max_size=width)):
         c[:, :, e] = 0
+    for i, lag in enumerate(draw(st.lists(st.integers(0, width), min_size=q, max_size=q))):
+        c[i, :, :lag] = 0
     t = draw(st.lists(st.integers(-3, 4), min_size=q, max_size=q))
     return PolyMatrix(FieldSpec(p), c), order, t
 
@@ -157,7 +163,7 @@ def test_sigma_basis_properties(case):
 
 
 def _scale_cases():
-    """(g, order, t) at p = 2^31 - 1 and the sizes the workloads reach."""
+    """(g, order, t) at the sizes the workloads reach (p = 2^31 - 1), then mid-run jumps."""
     field, rng = FieldSpec(), make_rng(41)
     d = 32  # the nullspace's generator [-I; H] with its compression shift
     h = random_series(field, 12, 12, 97, rng)
@@ -169,6 +175,16 @@ def _scale_cases():
     late = random_series(field, 8, 3, 14, rng).coeffs.copy()
     late[:, :, :4] = 0  # the residual is zero for the first orders
     yield pytest.param(PolyMatrix(field, late), 14, [1, 0, 0, 2, 0, 1, 0, 0], id="zero-first-slabs")
+    # rows :s are a full-rank residual from x^0 on, so they pivot alone and the
+    # loop jumps to x^lag, where rows s: turn live; the shift puts those rows
+    # last, so the jumped rows pivot again and must reduce them with their x^lag
+    for (q, s, lag, order), p in itertools.product(
+        [(3, 1, 3, 9), (8, 3, 4, 14), (24, 12, 5, 40)], (1009, 2**31 - 1)
+    ):
+        c = random_series(FieldSpec(p), q, s, order, make_rng(q + lag)).coeffs.copy()
+        c[s:, :, :lag] = 0
+        t = [0] * s + [-(lag + 2)] * (q - s)
+        yield pytest.param(PolyMatrix(FieldSpec(p), c), order, t, id=f"jump-{q}x{s}-lag{lag}-p{p}")
 
 
 @pytest.mark.parametrize("g, order, t", list(_scale_cases()))
