@@ -14,15 +14,13 @@ Two levels:
 * ``nullspace`` handles any m x n input in one conditioning, one harvest
   and one certificate per attempt: a Monte Carlo evaluation guesses the
   rank r, a random column compression reduces to r columns, a random
-  mix of all rows into the top r makes them independent, and
-  ``_harvest`` stacks minimal-vectors calls until the m - r rows below
-  the top are closed.  While more rows are open than the top has, a
-  block of up to max(2r, ``_HARVEST_ROWS``) open rows at the input's
-  degree closes all but r of them; then halving passes keep every
-  vector under a threshold that doubles as the open count halves,
-  trading dimension for degree (the paper's 2n x n step, run inside
-  every call).  One exact product plus an evaluation-rank certificate
-  either proves the answer or rejects the attempt.
+  mix of the lower rows added into the top r makes them independent,
+  and ``_harvest`` stacks minimal-vectors calls until the m - r rows
+  below the top are closed: up to max(2r, ``_HARVEST_ROWS``) open rows
+  at the input's degree while more than r are open, then halving passes
+  whose threshold doubles as the open count halves (the paper's 2n x n
+  step).  The harvests' structure gives the basis rank m - r, so one
+  exact annihilation product proves the answer or rejects it.
 
 Every certified return is correct; bad random draws surface as ``Fail``
 and the public wrappers resample up to ``plan.max_retries`` times.
@@ -183,8 +181,7 @@ def _minimal_vectors_once(
     basis = sigma_basis(gen, eta, shift)
     kappa, picked = select_low_rows(basis, delta)
     if kappa == 0:
-        empty = PolyMatrix(field, np.zeros((0, rows, 1), dtype=np.int64))
-        return MinimalVectorsResult(0, empty, ())
+        return MinimalVectorsResult(0, PolyMatrix.zeros(field, 0, rows), ())
 
     s_rows = basis.L.submatrix(picked, range(c_dim, c_dim + p_dim))
     left_part = pm_mul_mod(s_rows, expansion, delta + 1)
@@ -239,8 +236,9 @@ def _harvest(conditioned: PolyMatrix, top: int, d: int, plan: RandomPlan) -> lis
     nonsingular at a random point), so its c left minimal indices sum to
     at most top*d and fewer than top of them exceed d.  Then halving
     passes keep every vector (at least one) under ``ceil(2*top*d / open)``.
-    Each kept vector closes one open row, certified by independence at a
-    random point (evaluation only loses rank).
+    Each kept vector closes one open row.  A harvest's vectors are zero on
+    rows closed earlier, and their block on the rows they close is
+    nonsingular at a random point, hence over K(x).
     """
     field = conditioned.field
     open_rows = list(range(top, conditioned.rows))
@@ -256,9 +254,8 @@ def _harvest(conditioned: PolyMatrix, top: int, d: int, plan: RandomPlan) -> lis
         need = sub.kappa if need is None else need
         if sub.kappa < max(need, 1):
             raise KappaMismatch(f"{sub.kappa} vectors under degree {delta}, needed {max(need, 1)}")
-        c = sub.vectors.coeffs[:need]
-        out = np.zeros((need, conditioned.rows, c.shape[2]), dtype=np.int64)
-        out[:, positions] = c
+        out = np.zeros((need, conditioned.rows, sub.vectors.coeffs.shape[2]), dtype=np.int64)
+        out[:, positions] = sub.vectors.coeffs[:need]
         vectors = PolyMatrix(field, out)
         point = plan.field_point(field)
         local = independent_columns(vectors.eval(point)[:, chunk], field.p, need)
@@ -283,40 +280,43 @@ def monte_carlo_rank_compress(m: PolyMatrix, plan: RandomPlan) -> tuple[int, Pol
 
 
 def _nullspace_once(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
-    rows = m.rows
-    field = m.field
+    """One attempt; its basis has rank m - r0 by construction.
 
+    The mix is U = [[I, S], [0, I]], S random, so det U = 1 and the
+    stacked harvests H give the basis H @ U = [H1 | H2 + H1 @ S].  By
+    ``_harvest``, H2 is block upper triangular with nonsingular diagonal
+    blocks (rows by harvest, columns by the harvest that closed them), so
+    rank basis = rank H = m - r0, and the exact ``rows_annihilate`` gives
+    rank M <= r0 = rank M(x0) <= rank M.  The probe keeps its
+    Schwartz-Zippel bound: by Cauchy-Binet, det([I | S] @ C) for the
+    compression C of rank r0 is a nonzero polynomial of degree <= r0 in
+    S, since [I | S] has a minor 1 and its minors are linearly independent.
+    """
+    rows, field = m.rows, m.field
     r0, compressed = monte_carlo_rank_compress(m, plan)
     if r0 == rows:
-        basis = PolyMatrix(field, np.zeros((0, rows, 1), dtype=np.int64))
-        return NullspaceResult(rows, basis, (), 0, plan.seed)
+        return NullspaceResult(rows, PolyMatrix.zeros(field, 0, rows), (), 0, plan.seed)
     if r0 == 0:
-        basis = PolyMatrix.identity(field, rows)
-        if not all(rows_annihilate(basis, m)):
+        if not m.is_zero():
             raise RankCandidateWrong("matrix is nonzero but evaluated to rank 0")
-        return NullspaceResult(0, basis, (0,) * rows, 0, plan.seed)
+        return NullspaceResult(0, PolyMatrix.identity(field, rows), (0,) * rows, 0, plan.seed)
 
     # make the top r0 x r0 block nonsingular, touching only the top rows
-    mix = plan.constant(r0, rows, field)
+    mix = np.hstack([np.eye(r0, dtype=np.int64), plan.constant(r0, rows - r0, field)])
     top = PolyMatrix.from_const(field, mix) @ compressed
     conditioned = vstack(top, compressed.take_rows(range(r0, rows)))
     probe = plan.field_point(field)
     if const_rank(conditioned.block(0, r0, 0, r0).eval(probe), field.p) < r0:
         raise SingularAtZero("conditioned top block still evaluates singular")
 
-    # uncondition: H @ [[mix], [0 | I]] mixes H's first r0 columns and keeps the rest
+    # uncondition: H @ U adds H1 @ S to the columns below the top
     h = vstack(*_harvest(conditioned, r0, _degree_int(conditioned), plan))
-    head = (h.block(0, h.rows, 0, r0) @ PolyMatrix.from_const(field, mix)).coeffs
+    tail = (h.block(0, h.rows, 0, r0) @ PolyMatrix.from_const(field, mix[:, r0:])).coeffs
     c = h.coeffs.copy()
-    c[:, :r0] = 0
-    c[:, :, : head.shape[2]] += head
+    c[:, r0:, : tail.shape[2]] += tail
     basis = PolyMatrix(field, c)
-
     if not all(rows_annihilate(basis, m)):
         raise RankCandidateWrong("candidate basis does not annihilate the input")
-    point = plan.field_point(field)
-    if const_rank(basis.eval(point), field.p) != rows - r0:
-        raise RankCandidateWrong("evaluation rank certificate failed")
     degrees = tuple(row_tdegs(basis, [0] * rows).astype(np.int64).tolist())
     return NullspaceResult(r0, basis, degrees, sum(degrees), plan.seed)
 
@@ -324,9 +324,8 @@ def _nullspace_once(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
 def nullspace(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
     """Certified rank and m - rank independent left nullspace vectors.
 
-    The returned basis satisfies basis @ m == 0 coefficient-exactly and
-    evaluates to full row rank at a fresh random point, which proves
-    both the rank and the independence.  Fails (after retries) rather
-    than ever returning an uncertified answer.
+    basis @ m == 0 holds coefficient-exactly and the harvests' structure
+    makes the basis independent, which proves the rank; fails (after
+    retries) rather than ever returning an uncertified answer.
     """
     return _retry(plan, lambda: _nullspace_once(m, plan))

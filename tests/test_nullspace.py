@@ -8,10 +8,12 @@ import pytest
 from polynull import (
     Fail,
     FieldSpec,
+    IndependenceLost,
     KappaMismatch,
     Poly,
     PolyMatrix,
     RandomPlan,
+    RankCandidateWrong,
     SingularAtZero,
     const_kernel,
     const_random,
@@ -376,6 +378,68 @@ class TestWideHarvest:
             m = planted_rank(small, m_rows, n_cols, r, rng.randrange(4), rng)
             res = nullspace(m, RandomPlan(rng.randrange(2**63)))
             assert certified(res, m), trial
+
+
+class TestCertificates:
+    """The basis's rank rests on the harvests' independence certificates and
+    the final exact annihilation, with no point drawn after the harvests: a
+    wrong intermediate injected upstream must raise the named ``Fail``, never
+    come back as an answer."""
+
+    @pytest.mark.parametrize("shape", [(7, 4, 2), (4, 3, 2)])
+    def test_repeated_vector_raises_independence_lost(self, field, monkeypatch, shape):
+        # (7, 4, 2) keeps 3 vectors of a row block, (4, 3, 2) 2 of a halving pass
+        real = nullspace_module._minimal_vectors_once
+
+        def repeated(m, delta, plan):
+            res = real(m, delta, plan)
+            order = [0, 0, *range(2, res.kappa)]
+            degrees = tuple(res.degrees[i] for i in order)
+            return MinimalVectorsResult(res.kappa, res.vectors.take_rows(order), degrees)
+
+        monkeypatch.setattr(nullspace_module, "_minimal_vectors_once", repeated)
+        m = planted_rank(field, *shape, 2, make_rng(12))
+        with pytest.raises(IndependenceLost):
+            nullspace(m, RandomPlan(22, max_retries=0))
+
+    @pytest.mark.parametrize("rank", [2, 1])
+    def test_undershot_rank_raises_rank_candidate_wrong(self, field, monkeypatch, rank):
+        # rank 2 undershoots to a basis one vector too big, rank 1 to r0 = 0
+        real = nullspace_module.monte_carlo_rank_compress
+
+        def undershot(m, plan):
+            r0, compressed = real(m, plan)
+            return r0 - 1, compressed.block(0, compressed.rows, 0, r0 - 1)
+
+        monkeypatch.setattr(nullspace_module, "monte_carlo_rank_compress", undershot)
+        m = planted_rank(field, 7, 4, rank, 2, make_rng(13))
+        with pytest.raises(RankCandidateWrong):
+            nullspace(m, RandomPlan(23, max_retries=0))
+
+    def test_no_draw_after_the_last_harvest(self, field, monkeypatch, harvests):
+        m = planted_rank(field, 70, 4, 2, 2, make_rng(14))
+        plan = RandomPlan(24, max_retries=0)
+        points, shapes = [], []
+        point, constant = plan.field_point, plan.constant
+
+        def logged_point(f):
+            points.append(harvests())
+            return point(f)
+
+        def logged_constant(rows, cols, f):
+            shapes.append((rows, cols))
+            return constant(rows, cols, f)
+
+        monkeypatch.setattr(plan, "field_point", logged_point)
+        monkeypatch.setattr(plan, "constant", logged_constant)
+        res = nullspace(m, plan)
+        h = harvests()
+        assert h >= 2 and certified(res, m)
+        # the rank guess and the probe, then each harvest's shift and
+        # independence point: 2 + 2h draws, none after the last harvest
+        assert points == [0, 0] + [k for k in range(1, h + 1) for _ in (0, 1)]
+        # the compression, then the mix [I | S] drawn as S alone
+        assert shapes[:2] == [(4, 2), (2, 68)]
 
 
 class TestSmallField:

@@ -28,11 +28,12 @@ of three moved by up to 1.5x between rounds on one tree) and gives
 factors, so a ratio that grows with d measures the distance.
 
 The height rung solves planted m x 24 inputs of degree 4 at rank 2 and 20,
-for m = 48, 96, 192, 384 and 480: ``total_s`` and ``certify_s`` (medians
-of three), the number of harvests (minimal-vectors calls, retries
-included) in the last call and its ``degree_sum``.  It is the
+for m = 48, 96, 192, 384, 480 and 960: ``total_s`` and ``certify_s``
+(medians of three), the number of harvests (minimal-vectors calls,
+retries included) in the last call and its ``degree_sum``.  It is the
 measurement behind ``nullspace``'s ``_HARVEST_ROWS``, the rows a harvest
-may open below a low-rank top.
+may open below a low-rank top, and its 480 -> 960 step shows how far the
+cost of a tall input is from linear in m.
 BLAS runs on one thread unless the environment says otherwise.
 """
 
@@ -49,7 +50,7 @@ from pathlib import Path
 M, N, RANK = 32, 24, 20
 DEGREES = (8, 16, 32, 64)
 PRODUCT_SIZE, PRODUCT_DEGREES = 32, (16, 32, 64, 128)
-HEIGHT_N, HEIGHT_D, HEIGHT_RANKS, HEIGHTS = 24, 4, (2, 20), (48, 96, 192, 384, 480)
+HEIGHT_N, HEIGHT_D, HEIGHT_RANKS, HEIGHTS = 24, 4, (2, 20), (48, 96, 192, 384, 480, 960)
 REPEATS, PRODUCT_REPEATS = 3, 9
 INPUT_SEED, PLAN_SEED = 2005, 11
 
