@@ -15,11 +15,12 @@ Two levels:
   and one certificate per attempt: a Monte Carlo evaluation guesses the
   rank r, a random column compression reduces to r columns, a random
   mix of the lower rows added into the top r makes them independent,
-  and ``_harvest`` stacks minimal-vectors calls until the m - r rows
-  below the top are closed: up to max(2r, ``_HARVEST_ROWS``) open rows
-  at the input's degree while more than r are open, then halving passes
-  whose threshold doubles as the open count halves (the paper's 2n x n
-  step).  The harvests' structure gives the basis rank m - r, so one
+  and ``_harvest`` stacks minimal-vectors calls, each keeping every
+  vector it finds, until the m - r rows below the top are closed: up to
+  c = max(2r, ``_HARVEST_ROWS``) open rows at the input's degree, closing
+  at least c - r, while more than r are open, then halving passes whose
+  threshold doubles as the open count halves (the paper's 2n x n step).
+  The harvests' structure gives the basis rank m - r, so one
   exact annihilation product proves the answer or rejects it.
 
 Every certified return is correct; bad random draws surface as ``Fail``
@@ -218,10 +219,10 @@ def nullspace_minimal_vectors(
 
 
 # Open rows per harvest below a low-rank top (2*top once that is more).
-# tools/ladder.py height rung, m x 24, d = 4, s, 2*top -> 64 (128): rank 2,
-# m = 96 0.20-0.24 -> 0.04 (0.03-0.04), m = 480 1.1-1.4 -> 0.37-0.44 (0.35-0.46);
-# rank 20, m = 480 0.60-0.70 -> 0.53-0.57 (0.47-0.54).  128 raised the 120x24
-# peak RSS by 6%; no cap took 111 MB at m = 480, rank 20, against 82 MB.
+# tools/ladder.py height rung, m x 24, d = 4, s, 2*top -> 64 (128): rank 2, m = 480
+# 0.25 -> 0.10-0.11 (0.14-0.17), m = 960 0.59-0.63 -> 0.28-0.30 (0.33-0.37); rank 20,
+# m = 480 0.16-0.17 -> 0.19-0.21 (0.16-0.17), m = 960 0.47 -> 0.37-0.44 (0.43-0.46).
+# 128 raised the 120x24 peak RSS by 4%; no cap took 104 MB at m = 480, rank 20, not 82.
 _HARVEST_ROWS = 64
 
 
@@ -229,41 +230,38 @@ def _harvest(conditioned: PolyMatrix, top: int, d: int, plan: RandomPlan) -> lis
     """Nullspace vectors of ``conditioned`` at full width, one stack per
     harvest, until every row below the first ``top`` is closed.
 
-    While more than ``top`` rows are open, the first c (at most
-    max(2*top, ``_HARVEST_ROWS``)) are harvested with the top rows at
-    degree ``d`` and c - top vectors kept.  There are that many: the
-    (top + c) x top block has full column rank (its top block is
-    nonsingular at a random point), so its c left minimal indices sum to
-    at most top*d and fewer than top of them exceed d.  Then halving
-    passes keep every vector (at least one) under ``ceil(2*top*d / open)``.
-    Each kept vector closes one open row.  A harvest's vectors are zero on
-    rows closed earlier, and their block on the rows they close is
-    nonsingular at a random point, hence over K(x).
+    A harvest keeps every vector it finds on the top rows and the first c
+    open rows, c <= max(2*top, ``_HARVEST_ROWS``): at least c - top under
+    ``d`` while more than ``top`` rows are open, since the (top + c) x top
+    block has full column rank (its top block is nonsingular at a random
+    point), so its c left minimal indices sum to at most top*d and fewer
+    than top exceed d; then at least one under ``ceil(2*top*d / c)``.
+    Each kept vector closes one open row: a kernel vector of the block
+    that is zero on the chunk rows is zero on the nonsingular top block
+    too, so the vectors stay independent there; their block on the rows
+    they close is nonsingular at a random point, hence over K(x), and
+    they are zero on the rows that earlier harvests closed.
     """
     field = conditioned.field
     open_rows = list(range(top, conditioned.rows))
     harvested: list[PolyMatrix] = []
     while open_rows:
         chunk = open_rows[: max(2 * top, _HARVEST_ROWS)]
-        if len(open_rows) > top:
-            delta, need = d, len(chunk) - top
-        else:
-            delta, need = _ceil_div(2 * top * d, len(chunk)), None
+        delta = d if len(open_rows) > top else _ceil_div(2 * top * d, len(chunk))
         positions = list(range(top)) + chunk
         sub = _minimal_vectors_once(conditioned.take_rows(positions), delta, plan)
-        need = sub.kappa if need is None else need
-        if sub.kappa < max(need, 1):
-            raise KappaMismatch(f"{sub.kappa} vectors under degree {delta}, needed {max(need, 1)}")
+        need, least = sub.kappa, max(len(chunk) - top, 1)
+        if need < least:
+            raise KappaMismatch(f"{need} vectors under degree {delta}, needed {least}")
         out = np.zeros((need, conditioned.rows, sub.vectors.coeffs.shape[2]), dtype=np.int64)
-        out[:, positions] = sub.vectors.coeffs[:need]
-        vectors = PolyMatrix(field, out)
-        point = plan.field_point(field)
-        local = independent_columns(vectors.eval(point)[:, chunk], field.p, need)
+        out[:, positions] = sub.vectors.coeffs
+        on_chunk = sub.vectors.block(0, need, top, len(positions)).eval(plan.field_point(field))
+        local = independent_columns(on_chunk, field.p, need)
         if local is None:
             raise IndependenceLost("could not certify enough independent columns")
         closed = {chunk[i] for i in local}
         open_rows = [i for i in open_rows if i not in closed]
-        harvested.append(vectors)
+        harvested.append(PolyMatrix(field, out, _normalized=True))
     return harvested
 
 

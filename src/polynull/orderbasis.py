@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .polymat import PolyMatrix, Shift, _eliminate, _reduce, mat_mul_mod
+from .polymat import PolyMatrix, Shift, _eliminate, _reduce, _trim, mat_mul_mod
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,9 @@ def sigma_basis(g: PolyMatrix, order: int, t: Shift) -> SigmaBasis:
         top = max(top, min(top + step, tdegs[piv[-1]] + tmax))
         k += step
 
-    l_mat = PolyMatrix(field, w[:, rw:].reshape(q, order + 1, q).transpose(0, 2, 1))
-    return SigmaBasis(l_mat, tuple(tdegs))
+    # L's slabs past top are zero and its entries reduced: trim, no % p
+    l_mat = w[:, rw : rw + (top + 1) * q].reshape(q, top + 1, q).transpose(0, 2, 1)
+    return SigmaBasis(PolyMatrix(field, _trim(l_mat), _normalized=True), tuple(tdegs))
 
 
 def select_low_rows(basis: SigmaBasis, delta: int | float) -> tuple[int, list[int]]:

@@ -338,16 +338,17 @@ class PolyMatrix:
     def __repr__(self) -> str:
         return f"PolyMatrix({self.rows}x{self.cols}, degree={self._degree}, p={self.field.p})"
 
-    # -- structural ops ----------------------------------------------
+    # -- structural ops: slices of reduced data are trimmed, not reduced --
 
     def take_rows(self, idx: Sequence[int]) -> PolyMatrix:
-        return PolyMatrix(self.field, self._c[list(idx)])
+        return PolyMatrix(self.field, _trim(self._c[list(idx)]), _normalized=True)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> PolyMatrix:
-        return PolyMatrix(self.field, self._c[np.ix_(list(row_idx), list(col_idx))])
+        c = self._c[np.ix_(list(row_idx), list(col_idx))]
+        return PolyMatrix(self.field, _trim(c), _normalized=True)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> PolyMatrix:
-        return PolyMatrix(self.field, self._c[r0:r1, c0:c1])
+        return PolyMatrix(self.field, _trim(self._c[r0:r1, c0:c1]), _normalized=True)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -362,7 +363,7 @@ class PolyMatrix:
             raise ValueError("truncation order must be nonnegative")
         if order == 0:
             return PolyMatrix.zeros(self.field, self.rows, self.cols)
-        return PolyMatrix(self.field, self._c[:, :, :order])
+        return PolyMatrix(self.field, _trim(self._c[:, :, :order]), _normalized=True)
 
     def shift_var(self, x0: int) -> PolyMatrix:
         """Substitute x -> x + x0 in every entry."""

@@ -307,18 +307,22 @@ class TestNullspaceDriver:
 
     @pytest.mark.parametrize("shape", [(7, 4, 2), (4, 3, 2)])
     def test_short_harvest_raises_kappa_mismatch(self, field, monkeypatch, shape):
-        # (7, 4, 2) opens with a row block, (4, 3, 2) with a halving pass
-        real = nullspace_module._minimal_vectors_once
+        # (7, 4, 2) opens with a 7 x 2 row block, which must find at least
+        # 7 - 2*2 = 3 vectors, (4, 3, 2) with a halving pass, which must find 1;
+        # each gets one fewer, so the first harvest raises
+        real, calls = nullspace_module._minimal_vectors_once, []
 
         def short(m, delta, plan):
             res = real(m, delta, plan)
-            k = max(res.kappa - 1, 0)
+            calls.append(res.kappa)
+            k = min(res.kappa, max(m.rows - 2 * m.cols, 1) - 1)
             return MinimalVectorsResult(k, res.vectors.take_rows(range(k)), res.degrees[:k])
 
         monkeypatch.setattr(nullspace_module, "_minimal_vectors_once", short)
         m = planted_rank(field, *shape, 2, make_rng(12))
         with pytest.raises(KappaMismatch):
             nullspace(m, RandomPlan(22, max_retries=0))
+        assert len(calls) == 1
 
     def test_unbalanced_through_driver(self, field):
         m = companion_column(field, extra_zero_rows=3)
@@ -364,6 +368,30 @@ class TestWideHarvest:
         assert certified(res, m)
         # every harvest within the cap, and the widest at it
         assert max(heights) == top + max(2 * top, cap)
+
+    def test_row_blocks_keep_every_vector(self, field, monkeypatch):
+        # wide-harvest's shape: a 64-row block finds 64 vectors and keeps all
+        # of them, not 64 - 20, so the 36 rows left close in a second harvest
+        m = planted_rank(field, 120, 24, 20, 4, make_rng(35))
+        real_mv, real_harvest = nullspace_module._minimal_vectors_once, nullspace_module._harvest
+        found, kept = [], []
+
+        def recorded_mv(sub, delta, plan):
+            res = real_mv(sub, delta, plan)
+            found.append(res.kappa)
+            return res
+
+        def recorded_harvest(*args):
+            stacks = real_harvest(*args)
+            kept.extend(h.rows for h in stacks)
+            return stacks
+
+        monkeypatch.setattr(nullspace_module, "_minimal_vectors_once", recorded_mv)
+        monkeypatch.setattr(nullspace_module, "_harvest", recorded_harvest)
+        res = nullspace(m, RandomPlan(36, max_retries=0))
+        assert certified(res, m)
+        assert len(found) == 2
+        assert kept == found
 
     def test_small_prime_tall_low_rank_all_certified(self):
         # a failure-rate regression at one small prime: few, wide harvests

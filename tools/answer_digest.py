@@ -14,7 +14,15 @@ Each line is ``workload seed call`` followed by, for ``nullspace``, the
 rank, the sorted degrees, ``retries_used`` and the SHA-256 of the basis
 coefficients; for ``pm_mul``, the SHA-256 of the product coefficients; or
 the name of the ``Fail`` subclass raised.  Run it on two trees and
-``diff`` the outputs to compare their answers.
+``diff`` the outputs to compare their answers, or count the differences:
+
+    python3 tools/answer_digest.py --compare BEFORE.txt AFTER.txt
+
+reads two saved outputs and prints one line per workload: the calls in
+both files, how many lines are bit-identical, how many ranks are equal
+(of the calls that answered on both sides), how many degree sums rose,
+fell or stayed equal from BEFORE to AFTER, and the ``Fail`` lines in
+each file.
 """
 
 from __future__ import annotations
@@ -32,11 +40,53 @@ def _sha(m) -> str:
     return hashlib.sha256(repr(c.shape).encode() + c.tobytes()).hexdigest()
 
 
+def _read(path: Path) -> dict:
+    """Map (workload, seed, call) to the rest of the line's fields."""
+    lines = (line.split() for line in path.read_text().splitlines() if line.strip())
+    return {tuple(f[:3]): f[3:] for f in lines}
+
+
+def _answer(fields: list) -> tuple[int, int] | None:
+    """(rank, degree sum) of a ``nullspace`` answer; None for a product or a ``Fail``."""
+    if len(fields) != 4:
+        return None
+    degrees = fields[1].strip("[]")
+    return int(fields[0]), sum(int(e) for e in degrees.split(",") if e)
+
+
+def _is_fail(fields: list) -> bool:
+    return len(fields) == 1 and not all(ch in "0123456789abcdef" for ch in fields[0])
+
+
+def compare(before: Path, after: Path) -> None:
+    old, new = _read(before), _read(after)
+    for name in dict.fromkeys(key[0] for key in [*old, *new]):
+        keys = [k for k in old if k[0] == name and k in new]
+        same = sum(old[k] == new[k] for k in keys)
+        pairs = [(a, b) for a, b in ((_answer(old[k]), _answer(new[k])) for k in keys) if a and b]
+        ranks = sum(a[0] == b[0] for a, b in pairs)
+        rose = sum(b[1] > a[1] for a, b in pairs)
+        fell = sum(b[1] < a[1] for a, b in pairs)
+        fails = [sum(_is_fail(f) for k, f in side.items() if k[0] == name) for side in (old, new)]
+        print(
+            f"{name}: {len(keys)} calls in both, {same} identical, ranks equal {ranks} of "
+            f"{len(pairs)}, degree sums rose {rose} fell {fell} equal {len(pairs) - rose - fell}, "
+            f"Fail {fails[0]} -> {fails[1]}"
+        )
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("tree", type=Path, help="repository checkout to import")
+    ap.add_argument("tree", type=Path, nargs="?", help="repository checkout to import")
     ap.add_argument("--seeds", type=int, nargs="+", default=[7, 8])
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("BEFORE", "AFTER"),
+                    help="count the differences between two saved outputs instead")
     args = ap.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
+    if args.tree is None:
+        ap.error("give a TREE or --compare BEFORE AFTER")
     tree = args.tree.resolve()
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
