@@ -23,6 +23,17 @@ Two levels:
   The harvests' structure gives the basis rank m - r, so one
   exact annihilation product proves the answer or rejects it.
 
+Reconstruction runs to eta(delta0), delta0 = min(delta, ceil(nd/p)), and
+on to eta(delta) only if fewer than p rows reach delta0: a generic
+block's p minimal indices sum to at most nd and are balanced (Zhou,
+Labahn and Storjohann, ISSAC 2012).  A continued lift and M-Basis are
+one run.  A kept row whose candidate [u | -v] annihilates has
+u = v*B*A^(-1) of degree <= delta0, annihilates the generator and keeps
+a zero residual, so one run at delta keeps it and certifies no other row
+(L is nonsingular, the kernel has rank p); rows under delta0 at
+eta(delta0) are exact and carry their degree on v on the draws the
+reconstruction and the conditioning rest on: harvests close as before.
+
 Every certified return is correct; bad random draws surface as ``Fail``
 and the public wrappers resample up to ``plan.max_retries`` times.
 """
@@ -45,7 +56,7 @@ from .errors import (
     SingularAtZero,
 )
 from .field import NEG_INF, FieldSpec
-from .orderbasis import select_low_rows, sigma_basis
+from .orderbasis import _basis_from, select_low_rows, sigma_basis
 from .polymat import (
     PolyMatrix,
     const_rank,
@@ -58,7 +69,7 @@ from .polymat import (
     row_tdegs,
     vstack,
 )
-from .series import left_quotient_series
+from .series import _lift_from, left_quotient_series
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -148,9 +159,7 @@ def _reconstruction_order(delta: int, d: int, n: int, p: int) -> int:
     return max(eta, delta + 1)
 
 
-def _minimal_vectors_once(
-    m: PolyMatrix, delta: int, plan: RandomPlan
-) -> MinimalVectorsResult:
+def _minimal_vectors_once(m: PolyMatrix, delta: int, plan: RandomPlan) -> MinimalVectorsResult:
     rows, n = m.rows, m.cols
     p_dim = rows - n
     if p_dim < 1:
@@ -164,29 +173,40 @@ def _minimal_vectors_once(
     shifted = PolyMatrix.from_const(field, q_cond) @ m
     x0 = plan.field_point(field)
     shifted = shifted.shift_var(x0)
-    eta = _reconstruction_order(delta, d, n, p_dim)
+    top, low = shifted.block(0, n, 0, n), shifted.block(n, rows, 0, n)
+    # first at the generic index bound: a balanced block closes all p rows
+    # there, with the answer one run at delta gives (module docstring)
+    threshold = min(delta, _ceil_div(n * d, p_dim))
+    eta = _reconstruction_order(threshold, d, n, p_dim)
     # raises SingularAtZero when the pivot block is singular at 0
-    expansion = left_quotient_series(shifted.block(n, rows, 0, n), shifted.block(0, n, 0, n), eta)
+    expansion = left_quotient_series(low, top, eta)
 
-    if p_dim < n:
-        compress = plan.poly_matrix(n, p_dim, max(d - 1, 0), field)
-        compressed = pm_mul_mod(expansion, compress, eta)
-        c_dim = p_dim
-    else:
-        compressed = expansion
-        c_dim = n
-    gen = vstack(-PolyMatrix.identity(field, c_dim), compressed)
+    c_dim = min(p_dim, n)
+    compress = plan.poly_matrix(n, p_dim, max(d - 1, 0), field) if p_dim < n else None
+    compressed = expansion if compress is None else pm_mul_mod(expansion, compress, eta)
+    neg = -PolyMatrix.identity(field, c_dim)
     # the first block absorbs the compression's degree-(d-1) inflation;
     # for a constant input the compression is constant and the shift is 0
     shift = [max(d - 1, 0)] * c_dim + [0] * p_dim
-    basis = sigma_basis(gen, eta, shift)
-    kappa, picked = select_low_rows(basis, delta)
+    basis = sigma_basis(vstack(neg, compressed), eta, shift)
+    kappa, picked = select_low_rows(basis, threshold)
+    if kappa < p_dim and threshold < delta:
+        # an unbalanced block: the same lift and order basis go on to delta's order
+        threshold, start, eta = delta, eta, _reconstruction_order(delta, d, n, p_dim)
+        expansion = _lift_from(low, top, expansion, start, eta)
+        if compress is None:
+            compressed = expansion
+        else:  # the stored slabs, then the rest from one windowed product
+            new = pm_mul_mod(expansion, compress, eta, compressed.coeffs.shape[2]).coeffs
+            compressed = PolyMatrix(field, np.concatenate([compressed.coeffs, new], axis=2))
+        basis = _basis_from(vstack(neg, compressed), basis, shift, start, eta)
+        kappa, picked = select_low_rows(basis, threshold)
     if kappa == 0:
         return MinimalVectorsResult(0, PolyMatrix.zeros(field, 0, rows), ())
 
     s_rows = basis.L.submatrix(picked, range(c_dim, c_dim + p_dim))
-    left_part = pm_mul_mod(s_rows, expansion, delta + 1)
-    candidates = hstack(left_part, -s_rows.truncate(delta + 1))
+    left_part = pm_mul_mod(s_rows, expansion, threshold + 1)
+    candidates = hstack(left_part, -s_rows.truncate(threshold + 1))
     candidates = candidates.shift_var(-x0) @ PolyMatrix.from_const(field, q_cond)
 
     flags = rows_annihilate(candidates, m)
@@ -199,11 +219,8 @@ def _minimal_vectors_once(
         raise NotRowReduced("candidate stack is not row-reduced")
 
     order = sorted(range(kappa), key=lambda i: (degrees[i], i))
-    return MinimalVectorsResult(
-        kappa,
-        candidates.take_rows(order),
-        tuple(int(degrees[i]) for i in order),
-    )
+    degrees = tuple(int(degrees[i]) for i in order)
+    return MinimalVectorsResult(kappa, candidates.take_rows(order), degrees)
 
 
 def nullspace_minimal_vectors(

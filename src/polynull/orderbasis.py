@@ -34,6 +34,10 @@ residual, every order pivots the same rows in the same order; they are
 multiplied by x^(j-k) at once.  Per order the bound goes to max(top,
 min(top + 1, b)) with b rising by one: it holds top until b passes it,
 then adds one, so over n orders it is max(top, min(top + n, b_n)).
+
+Continuation: L, its tdegs and one windowed product for L*G's slabs k..
+rebuild the array at order k (top from deg L), and a forced run across k
+resumes on the same live rows, in order, all pivots: one run's L and tdegs.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .polymat import PolyMatrix, Shift, _eliminate, _reduce, _trim, mat_mul_mod
+from .polymat import PolyMatrix, Shift, _eliminate, _reduce, _trim, mat_mul_mod, pm_mul_mod
 
 
 @dataclass(frozen=True)
@@ -62,25 +66,30 @@ def sigma_basis(g: PolyMatrix, order: int, t: Shift) -> SigmaBasis:
     """Shifted order basis for ``g`` mod x^order; slabs from x^order on are ignored."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    q, s = g.rows, g.cols
-    if len(t) != q:
-        raise DimensionMismatch(f"shift length {len(t)} does not match {q} rows")
-    field = g.field
-    p = field.p
+    if len(t) != g.rows:
+        raise DimensionMismatch(f"shift length {len(t)} does not match {g.rows} rows")
+    ident = SigmaBasis(PolyMatrix.identity(g.field, g.rows), tuple(-int(ti) for ti in t))
+    return _basis_from(g, ident, t, 0, order)
 
-    if order == 0 or s == 0 or q == 0:
-        ident = PolyMatrix.identity(field, q)
-        return SigmaBasis(ident, tuple(-ti for ti in t))
+
+def _basis_from(g: PolyMatrix, basis: SigmaBasis, t: Shift, start: int, order: int) -> SigmaBasis:
+    """``basis`` for ``g`` mod x^start (shift ``t``) continued to x^order, as one run gives it."""
+    q, s = g.rows, g.cols
+    if order <= start or s == 0 or q == 0:
+        return basis
+    field, p = g.field, g.field.p
 
     # row i is [(L*G)_i mod x^order | L_i], slab-major: slab e of L*G at e*s,
-    # slab e of L at rw + e*q; one row operation on L is the same on L*G
-    width, rw = min(g.coeffs.shape[2], order), order * s
+    # slab e of L at rw + e*q; one row operation on L is the same on L*G.
+    # L*G's slabs start.. are one windowed product, G itself from L = I at 0
+    resid = pm_mul_mod(basis.L, g, order, start) if start else g
+    width, rw, kl = min(resid.coeffs.shape[2], order - start), order * s, basis.L.coeffs.shape[2]
     w = np.zeros((q, rw + (order + 1) * q), dtype=np.int64)
-    w[:, : width * s] = g.coeffs[:, :, :width].transpose(0, 2, 1).reshape(q, width * s)
-    w[np.arange(q), rw + np.arange(q)] = 1
-    tdegs = [-int(ti) for ti in t]
-    tmax = max(t)
-    k, top = 0, 0  # the order, and a bound on deg L
+    slabs = resid.coeffs[:, :, :width].transpose(0, 2, 1).reshape(q, width * s)
+    w[:, start * s : (start + width) * s] = slabs
+    w[:, rw : rw + kl * q] = basis.L.coeffs.transpose(0, 2, 1).reshape(q, kl * q)
+    tdegs, tmax = list(basis.tdegs), max(t)
+    k, top = start, kl - 1  # the order, and a bound on deg L
 
     while k < order:
         # L*G vanishes below x^k, so its x^k coefficient is the residual

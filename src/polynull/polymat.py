@@ -246,7 +246,7 @@ def _power_table(points: np.ndarray, degree: int, p: int) -> np.ndarray:
 class PolyMatrix:
     """Immutable m x n matrix of polynomials sharing one modulus."""
 
-    __slots__ = ("field", "rows", "cols", "_c", "_degree")
+    __slots__ = ("field", "rows", "cols", "_c", "_degree", "_row_degrees")
 
     def __init__(self, field: FieldSpec, coeffs: np.ndarray, *, _normalized: bool = False):
         c = _int64(coeffs)
@@ -262,6 +262,7 @@ class PolyMatrix:
         self._c = c
         self._c.flags.writeable = False
         self._degree = _tensor_degree(c)
+        self._row_degrees = None  # unshifted, filled by the first row_tdegs
 
     # -- constructors ------------------------------------------------
 
@@ -480,45 +481,44 @@ def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return _mul_eval_interp(a, b)
 
 
-def pm_mul_mod(a: PolyMatrix, b: PolyMatrix, order: int) -> PolyMatrix:
-    """(a @ b) mod x^order by truncated coefficient convolution.
+def pm_mul_mod(a: PolyMatrix, b: PolyMatrix, order: int, start: int = 0) -> PolyMatrix:
+    """Slabs start..order-1 of a @ b (slab e of the result is x^(start+e)), by
+    truncated coefficient convolution; start = 0 gives (a @ b) mod x^order.
 
     One ``mat_mul_mod`` call per coefficient slab of the shorter factor,
-    against the slabs of the other factor that it meets below ``order``,
+    against the slabs of the other factor that it meets in the window,
     laid side by side: O(min(ka, kb)) calls doing exactly the slab pairs
-    i + j < order, with no Toeplitz copy of either factor.
+    start <= i + j < order, with no Toeplitz copy of either factor.
     """
     if a.field.p != b.field.p:
         raise ModulusMismatch("mixed moduli")
     if a.cols != b.rows:
         raise DimensionMismatch(f"inner dimensions {a.cols} and {b.rows} differ")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if order == 0 or a.is_zero() or b.is_zero():
-        return PolyMatrix.zeros(a.field, a.rows, b.cols)
+    if order < 0 or start < 0:
+        raise ValueError("order and start must be nonnegative")
     p = a.field.p
     m, s, n = a.rows, a.cols, b.cols
     ka, kb = a.coeffs.shape[2], b.coeffs.shape[2]
     k = min(order, ka + kb - 1)
-    out = np.zeros((k, m, n), dtype=np.int64)  # slab-major; sums of < k values below p
+    if k <= start or a.is_zero() or b.is_zero():
+        return PolyMatrix.zeros(a.field, m, n)
+    out = np.zeros((k - start, m, n), dtype=np.int64)  # slab-major; sums of < k values below p
     if ka <= kb:
         wide = np.ascontiguousarray(b.coeffs.transpose(0, 2, 1))  # (s, kb, n)
         for i in range(min(ka, k)):
-            ai = a.coeffs[:, :, i]
-            if not ai.any():
-                continue
-            cnt = min(kb, k - i)
-            prod = mat_mul_mod(ai, wide[:, :cnt].reshape(s, cnt * n), p)
-            out[i : i + cnt] += prod.reshape(m, cnt, n).transpose(1, 0, 2)
+            j0 = max(start - i, 0)  # the first slab of b inside the window
+            cnt = min(kb, k - i) - j0
+            if cnt > 0 and a.coeffs[:, :, i].any():
+                prod = mat_mul_mod(a.coeffs[:, :, i], wide[:, j0 : j0 + cnt].reshape(s, cnt * n), p)
+                out[i + j0 - start :][:cnt] += prod.reshape(m, cnt, n).transpose(1, 0, 2)
     else:
         tall = np.ascontiguousarray(a.coeffs.transpose(2, 0, 1))  # (ka, m, s)
         for j in range(min(kb, k)):
-            bj = b.coeffs[:, :, j]
-            if not bj.any():
-                continue
-            cnt = min(ka, k - j)
-            prod = mat_mul_mod(tall[:cnt].reshape(cnt * m, s), bj, p)
-            out[j : j + cnt] += prod.reshape(cnt, m, n)
+            i0 = max(start - j, 0)
+            cnt = min(ka, k - j) - i0
+            if cnt > 0 and b.coeffs[:, :, j].any():
+                prod = mat_mul_mod(tall[i0 : i0 + cnt].reshape(cnt * m, s), b.coeffs[:, :, j], p)
+                out[i0 + j - start :][:cnt] += prod.reshape(cnt, m, n)
     return PolyMatrix(a.field, out.transpose(1, 2, 0))
 
 
@@ -541,13 +541,18 @@ def tdeg_row(v: Sequence[Poly], t: Shift) -> Union[int, float]:
 def row_tdegs(n: PolyMatrix, t: Shift) -> np.ndarray:
     """Shifted degree of every row, as floats; NEG_INF for a zero row.
 
-    Same values as ``tdeg_row`` on each row, read off the coefficient tensor.
+    Same values as ``tdeg_row`` on each row, read off the coefficient tensor;
+    a matrix keeps its unshifted row degrees, so they are read once.
     """
-    c = n.coeffs
-    nz = c != 0
-    # index of the last nonzero coefficient of each entry
-    deg = np.where(nz.any(axis=2), c.shape[2] - 1 - np.argmax(nz[:, :, ::-1], axis=2), NEG_INF)
-    return np.max(deg - np.asarray(t, dtype=np.int64), axis=1, initial=NEG_INF)
+    if n._row_degrees is None or any(t):
+        nz = n.coeffs != 0
+        # index of the last nonzero coefficient of each entry
+        deg = np.where(nz.any(axis=2), nz.shape[2] - 1 - np.argmax(nz[:, :, ::-1], axis=2), NEG_INF)
+        td = np.max(deg - np.asarray(t, dtype=np.int64), axis=1, initial=NEG_INF)
+        if any(t):
+            return td
+        n._row_degrees = td
+    return n._row_degrees.copy()
 
 
 def leading_row_matrix(n: PolyMatrix, t: Shift | None = None) -> np.ndarray:

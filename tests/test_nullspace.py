@@ -10,6 +10,7 @@ from polynull import (
     FieldSpec,
     IndependenceLost,
     KappaMismatch,
+    NotRowReduced,
     Poly,
     PolyMatrix,
     RandomPlan,
@@ -185,6 +186,99 @@ class TestMinimalVectors:
         tall = PolyMatrix.from_polys([[Poly.one(field)], [Poly.x(field)]])
         with pytest.raises(ValueError):
             nullspace_minimal_vectors(tall, -1, RandomPlan(1))
+
+
+@pytest.fixture
+def reconstructions(monkeypatch):
+    """Orders of the minimal-vectors calls' ``sigma_basis`` runs, and the
+    (start, order) of each order basis they continued."""
+    calls = {"sigma_basis": [], "continued": []}
+    real_basis, real_from = nullspace_module.sigma_basis, nullspace_module._basis_from
+
+    def basis(g, order, t):
+        calls["sigma_basis"].append(order)
+        return real_basis(g, order, t)
+
+    def continued(g, start_basis, t, start, order):
+        calls["continued"].append((start, order))
+        return real_from(g, start_basis, t, start, order)
+
+    monkeypatch.setattr(nullspace_module, "sigma_basis", basis)
+    monkeypatch.setattr(nullspace_module, "_basis_from", continued)
+    return calls
+
+
+def edited(field, shape, seed, edit):
+    """A generic matrix, with its last row zeroed or set to a copy of row 1."""
+    c = pm_random(*shape, field, make_rng(seed)).coeffs.copy()
+    if edit == "zero":
+        c[-1] = 0
+    elif edit == "duplicate":
+        c[-1] = c[1]
+    return PolyMatrix(field, c)
+
+
+class TestGenericThresholdFirst:
+    """An (n+p) x n block is reconstructed first at delta0 = ceil(nd/p), where a
+    generic block's p balanced minimal indices all lie; a block with an index
+    above it continues the same lift and order basis to delta's order."""
+
+    # 32 x 20 at d = 32: delta0 = ceil(640/12) = 54 at order 140, delta =
+    # ceil(2*640/12) = 107 at order 193, the halving pass of lift-deep's shape
+    SHAPE, DELTA = (32, 20, 32), 107
+
+    def test_generic_block_one_basis_at_the_generic_order(self, field, reconstructions):
+        assert [_reconstruction_order(t, 32, 20, 12) for t in (54, 107)] == [140, 193]
+        m = edited(field, self.SHAPE, 51, None)
+        res = nullspace_minimal_vectors(m, self.DELTA, RandomPlan(52, max_retries=0))
+        assert reconstructions == {"sigma_basis": [140], "continued": []}
+        assert res.degrees == (53,) * 8 + (54,) * 4  # balanced: 8 * 53 + 4 * 54 = 640
+        assert all(rows_annihilate(res.vectors, m))
+
+    @pytest.mark.parametrize("edit", ["zero", "duplicate"])
+    def test_unbalanced_block_continues(self, field, reconstructions, edit):
+        m = edited(field, self.SHAPE, 51, edit)
+        res = nullspace_minimal_vectors(m, self.DELTA, RandomPlan(53, max_retries=0))
+        assert reconstructions == {"sigma_basis": [140], "continued": [(140, 193)]}
+        # kronecker_indices(m) on both inputs (it takes about 90 s per input at
+        # this size, so the small case below runs the oracle itself): the zero
+        # or repeated row gives index 0 and the other 11 share 640 as 9 * 58 + 2 * 59
+        assert res.degrees == (0,) + (58,) * 9 + (59,) * 2
+        assert all(rows_annihilate(res.vectors, m)) and is_row_reduced(res.vectors)
+
+    @pytest.mark.parametrize("edit", ["zero", "duplicate"])
+    def test_unbalanced_small_block_matches_oracle(self, field, reconstructions, edit):
+        # 8 x 5 at d = 4: delta0 = 7, delta = 14; the indices are 0, 10, 10
+        m = edited(field, (8, 5, 4), 54, edit)
+        res = nullspace_minimal_vectors(m, 14, RandomPlan(55, max_retries=0))
+        assert reconstructions["continued"] == [(18, 25)]
+        assert res.degrees == kronecker_indices(m).indices == (0, 10, 10)
+
+    @pytest.mark.parametrize(
+        "fail", [KappaMismatch, NotRowReduced], ids=["not-annihilating", "not-row-reduced"]
+    )
+    def test_certificates_bite_at_the_generic_order(
+        self, field, monkeypatch, reconstructions, fail
+    ):
+        # 9 x 6 at d = 3: delta0 = 6, each generic index, and delta = 12.  The
+        # injection trades the last kept row of L for one outside the kernel, or
+        # keeps the first row twice in place of the last: all annihilate, but
+        # the stack is not row-reduced
+        real = nullspace_module.select_low_rows
+
+        def wrong(basis, delta):
+            kappa, picked = real(basis, delta)
+            if fail is KappaMismatch:
+                return kappa, picked[:-1] + [min(set(range(basis.L.rows)) - set(picked))]
+            return kappa, picked[:1] + picked[:-1]
+
+        m = edited(field, (9, 6, 3), 56, None)
+        assert nullspace_minimal_vectors(m, 12, RandomPlan(57, max_retries=0)).degrees == (6, 6, 6)
+        assert reconstructions == {"sigma_basis": [15], "continued": []}
+        monkeypatch.setattr(nullspace_module, "select_low_rows", wrong)
+        with pytest.raises(fail):
+            nullspace_minimal_vectors(m, 12, RandomPlan(57, max_retries=0))
+        assert reconstructions == {"sigma_basis": [15, 15], "continued": []}
 
 
 class TestNullspace2n:

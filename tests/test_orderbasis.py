@@ -20,6 +20,7 @@ from polynull import (
     sigma_basis,
     tdeg_row,
 )
+from polynull.orderbasis import _basis_from
 from polynull.polymat import const_rank, is_row_reduced, row_tdegs, vstack
 
 from conftest import make_rng, poly, poly_level_matmul
@@ -193,6 +194,43 @@ def test_sigma_basis_at_workload_scale(g, order, t):
     assert pm_mul_mod(basis.L, g, order).is_zero()
     assert is_row_reduced(basis.L, t)
     assert basis.tdegs == tuple(int(d) for d in row_tdegs(basis.L, t))
+
+
+def assert_same_basis(got, want):
+    """Bit for bit: the same L tensor (both trimmed) and the same shifted degrees."""
+    assert np.array_equal(got.L.coeffs, want.L.coeffs)
+    assert got.tdegs == want.tdegs
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_cases(), st.data())
+def test_continued_basis_is_one_run(case, data):
+    g, order, t = case
+    start = data.draw(st.integers(0, order), label="start")
+    continued = _basis_from(g, sigma_basis(g, start, t), t, start, order)
+    assert_same_basis(continued, sigma_basis(g, order, t))
+
+
+@pytest.mark.parametrize("q, s, lag, order", [(3, 1, 3, 9), (8, 3, 4, 14), (24, 12, 5, 40)])
+def test_continued_basis_from_inside_a_forced_run(q, s, lag, order):
+    # as the jump cases above: rows :s pivot alone at every order below lag, one
+    # forced run from 0 to lag; continuing from inside it must land where one run does
+    field = FieldSpec(2**31 - 1)
+    c = random_series(field, q, s, order, make_rng(q + lag)).coeffs.copy()
+    c[s:, :, :lag] = 0
+    g, t = PolyMatrix(field, c), [0] * s + [-(lag + 2)] * (q - s)
+    one_run = sigma_basis(g, order, t)
+    for start in (1, lag - 1, lag, lag + 1, order - 1):
+        assert_same_basis(_basis_from(g, sigma_basis(g, start, t), t, start, order), one_run)
+
+
+def test_continued_basis_at_nullspace_scale(field):
+    # lift-deep's generator shape, continued from order 140 to 193
+    rng, d = make_rng(42), 32
+    gen = vstack(-PolyMatrix.identity(field, 12), random_series(field, 12, 12, 193, rng))
+    t = [d - 1] * 12 + [0] * 12
+    continued = _basis_from(gen, sigma_basis(gen, 140, t), t, 140, 193)
+    assert_same_basis(continued, sigma_basis(gen, 193, t))
 
 
 class TestSelectLowRows:

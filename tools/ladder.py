@@ -16,10 +16,14 @@ p, for d = 16, 32, 64 and 128 (33 to 257 evaluation points).
 Prints one JSON line per d and rung: ``total_s`` is the wall time of the
 call; for ``nullspace``, ``lifting_s`` is the time inside
 ``left_quotient_series``, ``sigma_basis_s`` the time inside
-``sigma_basis`` and ``certify_s`` the time inside the certificates
-``rows_annihilate`` and ``is_row_reduced``; for ``pm_mul``,
-``const_inv_s`` is the time inside ``const_inv``; each summed over the
-call and the median of three calls.
+``sigma_basis`` (each with its continuation) and ``certify_s`` the time
+inside the certificates ``rows_annihilate`` and ``is_row_reduced``; for
+``pm_mul``, ``const_inv_s`` is the time inside ``const_inv``; each summed
+over the call and the median of three calls.  On ``nullspace`` lines,
+``order_sum`` is the sum of the orders the call's harvests reconstructed
+to, a continued one counted to the order it reached, and ``continued``
+how many harvests went on past the generic order eta(ceil(nd/p)); both
+are from the last call and repeat exactly for the fixed seeds.
 Each ``nullspace`` line also times one 32x24 by 24x24 ``pm_mul`` of the
 same degree d in the same process (``pm_mul_s``, median of nine: a median
 of three moved by up to 1.5x between rounds on one tree) and gives
@@ -74,6 +78,16 @@ def _counted(fn, acc: dict, key: str):
     return wrapper
 
 
+def _ordered(fn, acc: dict, key: str, orders):
+    """Add ``orders(*args)``, the orders a call reconstructs, to ``acc[key]``."""
+
+    def wrapper(*args):
+        acc[key] += orders(*args)
+        return fn(*args)
+
+    return wrapper
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("tree", type=Path, help="repository checkout to import")
@@ -91,9 +105,16 @@ def main(argv=None) -> int:
         sys.exit(f"ladder: imported {polynull.__file__}, not the tree under {tree}")
     ns = sys.modules["polynull.nullspace"]
     pm = sys.modules["polynull.polymat"]
-    acc = {"lifting_s": 0.0, "sigma_basis_s": 0.0, "certify_s": 0.0, "const_inv_s": 0.0, "harvests": 0}
+    acc = {"lifting_s": 0.0, "sigma_basis_s": 0.0, "certify_s": 0.0, "const_inv_s": 0.0, "harvests": 0,
+           "order_sum": 0, "continued": 0}
     ns.left_quotient_series = _timed(ns.left_quotient_series, acc, "lifting_s")
-    ns.sigma_basis = _timed(ns.sigma_basis, acc, "sigma_basis_s")
+    ns.sigma_basis = _ordered(_timed(ns.sigma_basis, acc, "sigma_basis_s"), acc, "order_sum",
+                              lambda g, order, t: order)
+    if hasattr(ns, "_basis_from"):  # older trees reconstruct once, with no continuation
+        ns._lift_from = _timed(ns._lift_from, acc, "lifting_s")
+        basis_from = _timed(ns._basis_from, acc, "sigma_basis_s")
+        basis_from = _ordered(basis_from, acc, "order_sum", lambda g, basis, t, start, order: order - start)
+        ns._basis_from = _counted(basis_from, acc, "continued")
     ns.rows_annihilate = _timed(ns.rows_annihilate, acc, "certify_s")
     ns.is_row_reduced = _timed(ns.is_row_reduced, acc, "certify_s")
     pm.const_inv = _timed(pm.const_inv, acc, "const_inv_s")
@@ -110,7 +131,8 @@ def main(argv=None) -> int:
         line = {"call": "nullspace", "m": M, "n": N, "rank": ans.rank, "p": field.p, "d": d}
         total_s = statistics.median(r["total_s"] for r in runs)
         _print(line, runs, ("total_s", "lifting_s", "sigma_basis_s", "certify_s"),
-               pm_mul_s=round(mm_s, 4), mm_ratio=round(total_s / mm_s, 1))
+               pm_mul_s=round(mm_s, 4), mm_ratio=round(total_s / mm_s, 1),
+               order_sum=runs[-1]["order_sum"], continued=runs[-1]["continued"])
     for rank in HEIGHT_RANKS:
         for m_rows in HEIGHTS:
             rng = np.random.default_rng([INPUT_SEED, m_rows, rank])
@@ -118,8 +140,9 @@ def main(argv=None) -> int:
             runs, ans = _runs(acc, lambda: polynull.nullspace(m, polynull.RandomPlan(seed=PLAN_SEED)))
             line = {"call": "nullspace", "rung": "height", "m": m_rows, "n": HEIGHT_N,
                     "rank": ans.rank, "p": field.p, "d": HEIGHT_D}
-            _print(line, runs, ("total_s", "certify_s"),
-                   harvests=runs[-1]["harvests"], degree_sum=ans.degree_sum)
+            _print(line, runs, ("total_s", "certify_s"), harvests=runs[-1]["harvests"],
+                   order_sum=runs[-1]["order_sum"], continued=runs[-1]["continued"],
+                   degree_sum=ans.degree_sum)
     for d in PRODUCT_DEGREES:
         rng = np.random.default_rng([INPUT_SEED, PRODUCT_SIZE, d])
         a, b = (polynull.PolyMatrix(field, rng.integers(0, field.p, size=(PRODUCT_SIZE,) * 2 + (d + 1,)))
