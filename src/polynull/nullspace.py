@@ -11,8 +11,12 @@ Two levels:
   shifted order basis, and certifies the harvest by exact annihilation
   and a row-reducedness check.
 
-* ``nullspace`` handles any m x n input in one conditioning, one harvest
-  and one certificate per attempt: a Monte Carlo evaluation guesses the
+* ``nullspace`` handles any m x n input.  One elimination of the
+  coefficient stack [M_0 | ... | M_d] first splits off the constant
+  kernel, a direct summand of the nullspace (Forney 1975), and leaves
+  the s = rank(stack) <= r(d+1) rows D @ M; at s = m nothing splits and
+  M goes on unchanged.  Then one conditioning, one harvest and one
+  certificate per attempt: a Monte Carlo evaluation guesses the
   rank r, a random column compression reduces to r columns, a random
   mix of the lower rows added into the top r makes them independent,
   and ``_harvest`` stacks minimal-vectors calls, each keeping every
@@ -59,6 +63,7 @@ from .field import NEG_INF, FieldSpec
 from .orderbasis import _basis_from, select_low_rows, sigma_basis
 from .polymat import (
     PolyMatrix,
+    _eliminate,
     const_rank,
     const_random,
     hstack,
@@ -235,11 +240,11 @@ def nullspace_minimal_vectors(
     return _retry(plan, lambda: _minimal_vectors_once(m, delta, plan))
 
 
-# Open rows per harvest below a low-rank top (2*top once that is more).
-# tools/ladder.py height rung, m x 24, d = 4, s, 2*top -> 64 (128): rank 2, m = 480
-# 0.25 -> 0.10-0.11 (0.14-0.17), m = 960 0.59-0.63 -> 0.28-0.30 (0.33-0.37); rank 20,
-# m = 480 0.16-0.17 -> 0.19-0.21 (0.16-0.17), m = 960 0.47 -> 0.37-0.44 (0.43-0.46).
-# 128 raised the 120x24 peak RSS by 4%; no cap took 104 MB at m = 480, rank 20, not 82.
+# Open rows per harvest below a low-rank top (2*top once that is more); after the split it
+# binds only past top + 64 stack rows. tools/ladder.py height rung, m x 24, rank 20, 64 ->
+# no cap: d = 16 (s = 180) m = 480 0.44-0.48 -> 0.41-0.42 s, m = 960 0.81-0.84 -> 0.71-0.76,
+# degree sums 480 -> 160; d = 32 (s = 340) m = 480 2.7-3.0 -> 4.3-4.4 s (3.2-3.3 without
+# the split): one order basis's work grows as its rows squared.
 _HARVEST_ROWS = 64
 
 
@@ -311,10 +316,8 @@ def _nullspace_once(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
     r0, compressed = monte_carlo_rank_compress(m, plan)
     if r0 == rows:
         return NullspaceResult(rows, PolyMatrix.zeros(field, 0, rows), (), 0, plan.seed)
-    if r0 == 0:
-        if not m.is_zero():
-            raise RankCandidateWrong("matrix is nonzero but evaluated to rank 0")
-        return NullspaceResult(0, PolyMatrix.identity(field, rows), (0,) * rows, 0, plan.seed)
+    if r0 == 0:  # m is nonzero: ``nullspace`` answers the zero matrix by its split
+        raise RankCandidateWrong("matrix is nonzero but evaluated to rank 0")
 
     # make the top r0 x r0 block nonsingular, touching only the top rows
     mix = np.hstack([np.eye(r0, dtype=np.int64), plan.constant(r0, rows - r0, field)])
@@ -339,8 +342,31 @@ def _nullspace_once(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
 def nullspace(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
     """Certified rank and m - rank independent left nullspace vectors.
 
-    basis @ m == 0 holds coefficient-exactly and the harvests' structure
-    makes the basis independent, which proves the rank; fails (after
-    retries) rather than ever returning an uncertified answer.
+    One elimination of [M_0 | ... | M_d | I] first: with s the stack's rank,
+    its rows past s are [0 | C] (checked) and its first s rows [D @ stack | D],
+    so U = [C ; D], the elimination's transform, is invertible and
+    U @ M = [0 ; D @ M].  A kernel vector v = w @ U needs only
+    w2 @ (D @ M) = 0, so [C ; N' @ D] is a basis for any basis N' of D @ M's
+    kernel, and rank M = rank(D @ M).  The constant part is a direct summand:
+    w -> w @ U keeps every row degree and the rank of the leading
+    coefficients, so independence and minimality carry over.  At s = m
+    nothing splits and the attempts run on M itself.
+
+    The attempts certify N' against D @ M: exact annihilation, and the
+    harvests' structure makes it independent, which proves the rank; fails
+    (after retries) rather than ever returning an uncertified answer.
     """
-    return _retry(plan, lambda: _nullspace_once(m, plan))
+    rows, field, width = m.rows, m.field, m.cols * m.coeffs.shape[2]
+    aug = np.concatenate([m.coeffs.reshape(rows, width), np.eye(rows, dtype=np.int64)], axis=1)
+    s = len(_eliminate(aug, field.p, width))
+    if s == rows:
+        return _retry(plan, lambda: _nullspace_once(m, plan))
+    if aug[s:, :width].any():
+        raise RankCandidateWrong("a constant kernel row does not annihilate the coefficient stack")
+    kernel = PolyMatrix.from_const(field, aug[s:, width:])
+    if s == 0:
+        return NullspaceResult(0, kernel, (0,) * rows, 0, plan.seed)
+    reduced = PolyMatrix(field, aug[:s, :width].reshape(s, m.cols, -1))
+    res = _retry(plan, lambda: _nullspace_once(reduced, plan))
+    basis = vstack(kernel, res.basis @ PolyMatrix.from_const(field, aug[:s, width:]))
+    return dataclasses.replace(res, basis=basis, degrees=(0,) * (rows - s) + res.degrees)

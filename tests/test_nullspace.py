@@ -300,8 +300,9 @@ class TestNullspace2n:
         assert row[1] == -(row[2] * x)
 
     def test_multi_pass_unbalanced(self, field, harvests):
+        # the attempt itself: nullspace would split this input to 4 rows first
         m = companion_column(field, extra_zero_rows=2)
-        res = nullspace(m, RandomPlan(12))
+        res = nullspace_module._nullspace_once(m, RandomPlan(12))
         assert sorted(res.degrees) == [0, 0, 3]
         assert harvests() == 2
         assert all(rows_annihilate(res.basis, m))
@@ -426,6 +427,78 @@ class TestNullspaceDriver:
         assert all(rows_annihilate(res.basis, m))
 
 
+class TestDegreeZeroSplit:
+    """``nullspace`` eliminates the coefficient stack [M_0 | ... | M_d] once:
+    the constant kernel C comes straight from it, and the attempts run on
+    the stack's s independent rows D @ M, unless s = m."""
+
+    @pytest.fixture
+    def attempts(self, monkeypatch):
+        """The heights of the matrices the attempts were made on."""
+        real, heights = nullspace_module._nullspace_once, []
+
+        def recorded(m, plan):
+            heights.append(m.rows)
+            return real(m, plan)
+
+        monkeypatch.setattr(nullspace_module, "_nullspace_once", recorded)
+        return heights
+
+    def test_zero_matrix_needs_no_attempt(self, field, attempts):
+        res = nullspace(PolyMatrix.zeros(field, 4, 3), RandomPlan(60))
+        assert attempts == []
+        assert res.rank == 0 and res.degrees == (0,) * 4
+        assert res.basis == PolyMatrix.identity(field, 4)
+
+    def test_constant_input_answered_by_the_elimination(self, field, harvests):
+        # d = 0: the stack is M_0, so C is its whole kernel and D @ M has full
+        # row rank, which the attempt returns before any harvest
+        m = planted_rank(field, 7, 4, 3, 0, make_rng(61))
+        res = nullspace(m, RandomPlan(62))
+        assert harvests() == 0
+        assert res.rank == 3 and res.degrees == (0,) * 4
+        assert res.basis == PolyMatrix.from_const(field, const_kernel(m.coeffs[:, :, 0], field.p))
+        assert certified(res, m)
+
+    def test_full_row_rank_stack_takes_the_attempt_unchanged(self, field, attempts):
+        # 8 x 4 at d = 2: the 8 x 12 stack has full row rank, so nothing splits
+        m = pm_random(8, 4, 2, field, make_rng(63))
+        res = nullspace(m, RandomPlan(64))
+        once = nullspace_module._nullspace_once(m, RandomPlan(64))
+        assert attempts == [8, 8]
+        assert res.retries_used == 0
+        assert (res.rank, res.degrees, res.seed) == (once.rank, once.degrees, once.seed)
+        assert res.basis == once.basis
+
+    @pytest.mark.parametrize("seed", [65, 66, 67])
+    def test_tall_planted_input_reaches_the_minimal_degree_sum(self, field, attempts, seed):
+        # 14 x 3, rank 2, d = 2: m > r(d+1) = 6, so at least 8 indices are 0
+        m = planted_rank(field, 14, 3, 2, 2, make_rng(seed))
+        res = nullspace(m, RandomPlan(seed))
+        assert certified(res, m)
+        assert attempts and all(h <= 6 for h in attempts)
+        assert res.degrees[: 14 - attempts[-1]] == (0,) * (14 - attempts[-1])
+        assert res.degree_sum == sum(kronecker_indices(m).indices)
+
+    def test_blocked_elimination_splits_a_tall_input(self, field, attempts):
+        # 120 x 24, rank 20, d = 4 (wide-harvest's shape): [stack | I] is
+        # 120 x 220, so the split goes by column panels; the stack has rank 100
+        m = planted_rank(field, 120, 24, 20, 4, make_rng(35))
+        res = nullspace(m, RandomPlan(36))
+        assert attempts == [100]
+        assert res.degrees[:20] == (0,) * 20
+        assert certified(res, m)
+
+    def test_understated_stack_rank_raises(self, field, monkeypatch):
+        # an elimination that reports one pivot too few leaves a row with a
+        # nonzero stack part among C: the zero check rejects it
+        real = nullspace_module._eliminate
+        monkeypatch.setattr(nullspace_module, "_eliminate", lambda *args: real(*args)[:-1])
+        m = planted_rank(field, 14, 3, 2, 2, make_rng(65))
+        with pytest.raises(RankCandidateWrong, match="constant kernel"):
+            nullspace(m, RandomPlan(65))
+
+
 def certified(res, m):
     """The answer's rank is the oracle's, and its basis has m - rank rows that
     annihilate m and are independent (full rank at some point of the field)."""
@@ -458,7 +531,8 @@ class TestWideHarvest:
             return real(sub, delta, plan)
 
         monkeypatch.setattr(nullspace_module, "_minimal_vectors_once", recorded)
-        res = nullspace(m, RandomPlan(33))
+        # the attempt itself: nullspace would split this input to 2 rows first
+        res = nullspace_module._nullspace_once(m, RandomPlan(33))
         assert certified(res, m)
         # every harvest within the cap, and the widest at it
         assert max(heights) == top + max(2 * top, cap)
@@ -482,7 +556,8 @@ class TestWideHarvest:
 
         monkeypatch.setattr(nullspace_module, "_minimal_vectors_once", recorded_mv)
         monkeypatch.setattr(nullspace_module, "_harvest", recorded_harvest)
-        res = nullspace(m, RandomPlan(36, max_retries=0))
+        # the attempt itself: nullspace would split this input to 100 rows first
+        res = nullspace_module._nullspace_once(m, RandomPlan(36, max_retries=0))
         assert certified(res, m)
         assert len(found) == 2
         assert kept == found
@@ -554,7 +629,8 @@ class TestCertificates:
 
         monkeypatch.setattr(plan, "field_point", logged_point)
         monkeypatch.setattr(plan, "constant", logged_constant)
-        res = nullspace(m, plan)
+        # the attempt itself: nullspace would split this input to 2 rows first
+        res = nullspace_module._nullspace_once(m, plan)
         h = harvests()
         assert h >= 2 and certified(res, m)
         # the rank guess and the probe, then each harvest's shift and

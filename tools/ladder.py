@@ -32,12 +32,17 @@ of three moved by up to 1.5x between rounds on one tree) and gives
 factors, so a ratio that grows with d measures the distance.
 
 The height rung solves planted m x 24 inputs of degree 4 at rank 2 and 20,
-for m = 48, 96, 192, 384, 480 and 960: ``total_s`` and ``certify_s``
+for m = 48, 96, 192, 384, 480 and 960, and at rank 20 of degree 16 for
+m = 480 and 960 and of degree 32 for m = 480: ``total_s`` and ``certify_s``
 (medians of three), the number of harvests (minimal-vectors calls,
-retries included) in the last call and its ``degree_sum``.  It is the
-measurement behind ``nullspace``'s ``_HARVEST_ROWS``, the rows a harvest
-may open below a low-rank top, and its 480 -> 960 step shows how far the
-cost of a tall input is from linear in m.
+retries included) in the last call and its ``degree_sum``.  On trees that
+split off the degree-0 kernel first, it also prints ``split_rows``, the
+rank s of the coefficient stack (the rows left to the attempts, s = m when
+nothing splits), and ``split_s``, the seconds of that one constant
+elimination (median of three).  It is the measurement behind
+``nullspace``'s ``_HARVEST_ROWS``, the rows a harvest may open below a
+low-rank top, and its 480 -> 960 step shows how far the cost of a tall
+input is from linear in m.
 BLAS runs on one thread unless the environment says otherwise.
 """
 
@@ -54,7 +59,11 @@ from pathlib import Path
 M, N, RANK = 32, 24, 20
 DEGREES = (8, 16, 32, 64)
 PRODUCT_SIZE, PRODUCT_DEGREES = 32, (16, 32, 64, 128)
-HEIGHT_N, HEIGHT_D, HEIGHT_RANKS, HEIGHTS = 24, 4, (2, 20), (48, 96, 192, 384, 480, 960)
+HEIGHTS = (48, 96, 192, 384, 480, 960)
+# (rank, d, heights); at d = 16 and 32 a harvest still opens more than
+# _HARVEST_ROWS rows after the split (stack ranks 180 and 340, rank 20)
+HEIGHT_N, HEIGHT_D = 24, 4
+HEIGHT_RUNGS = ((2, 4, HEIGHTS), (20, 4, HEIGHTS), (20, 16, (480, 960)), (20, 32, (480,)))
 REPEATS, PRODUCT_REPEATS = 3, 9
 INPUT_SEED, PLAN_SEED = 2005, 11
 
@@ -88,6 +97,17 @@ def _ordered(fn, acc: dict, key: str, orders):
     return wrapper
 
 
+def _ranked(fn, acc: dict, key: str):
+    """Add the rank ``fn`` returns, its list of pivots, to ``acc[key]``."""
+
+    def wrapper(*args):
+        pivots = fn(*args)
+        acc[key] += len(pivots)
+        return pivots
+
+    return wrapper
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("tree", type=Path, help="repository checkout to import")
@@ -106,7 +126,7 @@ def main(argv=None) -> int:
     ns = sys.modules["polynull.nullspace"]
     pm = sys.modules["polynull.polymat"]
     acc = {"lifting_s": 0.0, "sigma_basis_s": 0.0, "certify_s": 0.0, "const_inv_s": 0.0, "harvests": 0,
-           "order_sum": 0, "continued": 0}
+           "order_sum": 0, "continued": 0, "split_s": 0.0, "split_rows": 0}
     ns.left_quotient_series = _timed(ns.left_quotient_series, acc, "lifting_s")
     ns.sigma_basis = _ordered(_timed(ns.sigma_basis, acc, "sigma_basis_s"), acc, "order_sum",
                               lambda g, order, t: order)
@@ -119,6 +139,9 @@ def main(argv=None) -> int:
     ns.is_row_reduced = _timed(ns.is_row_reduced, acc, "certify_s")
     pm.const_inv = _timed(pm.const_inv, acc, "const_inv_s")
     ns._minimal_vectors_once = _counted(ns._minimal_vectors_once, acc, "harvests")
+    split = hasattr(ns, "_eliminate")  # older trees run every row through the attempts
+    if split:
+        ns._eliminate = _ranked(_timed(ns._eliminate, acc, "split_s"), acc, "split_rows")
 
     field = polynull.FieldSpec(polynull.DEFAULT_PRIME)
     for d in DEGREES:
@@ -133,16 +156,18 @@ def main(argv=None) -> int:
         _print(line, runs, ("total_s", "lifting_s", "sigma_basis_s", "certify_s"),
                pm_mul_s=round(mm_s, 4), mm_ratio=round(total_s / mm_s, 1),
                order_sum=runs[-1]["order_sum"], continued=runs[-1]["continued"])
-    for rank in HEIGHT_RANKS:
-        for m_rows in HEIGHTS:
-            rng = np.random.default_rng([INPUT_SEED, m_rows, rank])
-            m = _planted(polynull, field, rng, m_rows, HEIGHT_N, rank, HEIGHT_D)
+    for rank, d, heights in HEIGHT_RUNGS:
+        for m_rows in heights:
+            # the d = 4 inputs keep the seeds of earlier ladders
+            rng = np.random.default_rng([INPUT_SEED, m_rows, rank] + ([d] if d != HEIGHT_D else []))
+            m = _planted(polynull, field, rng, m_rows, HEIGHT_N, rank, d)
             runs, ans = _runs(acc, lambda: polynull.nullspace(m, polynull.RandomPlan(seed=PLAN_SEED)))
             line = {"call": "nullspace", "rung": "height", "m": m_rows, "n": HEIGHT_N,
-                    "rank": ans.rank, "p": field.p, "d": HEIGHT_D}
-            _print(line, runs, ("total_s", "certify_s"), harvests=runs[-1]["harvests"],
-                   order_sum=runs[-1]["order_sum"], continued=runs[-1]["continued"],
-                   degree_sum=ans.degree_sum)
+                    "rank": ans.rank, "p": field.p, "d": d}
+            extra = {"split_rows": runs[-1]["split_rows"]} if split else {}
+            _print(line, runs, ("total_s", "certify_s") + (("split_s",) if split else ()),
+                   harvests=runs[-1]["harvests"], order_sum=runs[-1]["order_sum"],
+                   continued=runs[-1]["continued"], degree_sum=ans.degree_sum, **extra)
     for d in PRODUCT_DEGREES:
         rng = np.random.default_rng([INPUT_SEED, PRODUCT_SIZE, d])
         a, b = (polynull.PolyMatrix(field, rng.integers(0, field.p, size=(PRODUCT_SIZE,) * 2 + (d + 1,)))
