@@ -1,11 +1,12 @@
 """Brute-force ground truth for tiny instances.
 
 Bounded-degree kernels come from the constant left kernel of a
-block-Toeplitz coefficient matrix; Kronecker indices from a degree
-sweep of those kernel dimensions; rank from enough evaluation points
-to dodge every minor's root set.  None of this shares logic with the
-lifting or order-basis paths, which is the point: it is the referee, not
-a fast path.
+block-Toeplitz coefficient matrix; Kronecker indices from that matrix's
+row rank profile, one elimination per doubled degree bound; rank from
+enough evaluation points to dodge every minor's root set.  It shares only
+the constant elimination with the fast path (checked on its own against
+a pure-int reference), nothing with lifting or order bases: it is the
+referee, not a fast path.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import FieldTooSmall, TooLarge
 from .field import NEG_INF, FieldSpec
-from .polymat import PolyMatrix, const_kernel, const_rank
+from .polymat import PolyMatrix, _eliminate, const_kernel, const_rank
 
 #: Default ceiling on block-Toeplitz rows; this is a test oracle.
 DEFAULT_MAX_ROWS = 4096
@@ -50,11 +51,7 @@ def _toeplitz(m: PolyMatrix, delta: int) -> np.ndarray:
 
 def _delinearize(field: FieldSpec, flat: np.ndarray, m: int, delta: int) -> PolyMatrix:
     """Rebuild polynomial rows from flattened (k, i) coefficient vectors."""
-    count = flat.shape[0]
-    out = np.zeros((count, m, delta + 1), dtype=np.int64)
-    for k in range(delta + 1):
-        out[:, :, k] = flat[:, k * m : (k + 1) * m]
-    return PolyMatrix(field, out)
+    return PolyMatrix(field, flat.reshape(flat.shape[0], delta + 1, m).transpose(0, 2, 1))
 
 
 def kernel_linearized(
@@ -89,70 +86,41 @@ def rank_oracle(m: PolyMatrix) -> int:
     return best
 
 
-class _Echelon:
-    """Incremental row echelon over F_p: feed rows, track rank."""
-
-    def __init__(self, width: int, p: int):
-        self.width = width
-        self.p = p
-        self.pivots: dict[int, np.ndarray] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def add(self, row: np.ndarray) -> bool:
-        """Insert a row; True if it increased the rank."""
-        row = row % self.p
-        while True:
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                return False
-            lead = int(nz[0])
-            piv = self.pivots.get(lead)
-            if piv is None:
-                self.pivots[lead] = row * pow(int(row[lead]), -1, self.p) % self.p
-                return True
-            row = (row - row[lead] * piv) % self.p
-
-
 def kronecker_indices(m: PolyMatrix, *, max_rows: int = DEFAULT_MAX_ROWS) -> KroneckerProfile:
-    """Minimal nullspace degrees by sweeping the linearized kernel dimension.
+    """Minimal nullspace degrees from the Toeplitz matrix's row rank profile.
 
-    The kernel dimension at degree bound delta grows by the number of
-    indices <= delta when delta increases by one; first differences of
-    that count locate every index.
+    Row block e of ``_toeplitz(m, delta)`` is x^e * M and meets no column
+    past (e + d + 1) * n, so the kernel dimension k_e at every bound e <=
+    delta is (e + 1) * m less the profile's entries below (e + 1) * m; the
+    profile is the pivot columns of one elimination of the transpose.
+    Index nu adds e - nu + 1 shifts to k_e, so k_e - k_(e-1) counts the
+    indices <= e.  delta starts at 0 and doubles, clipped to n*d (which
+    bounds every index) and to the guard, until that count is m - rank.
+    Raises TooLarge exactly when m * (largest index + 1) > ``max_rows``.
     """
     rank = rank_oracle(m)
     target = m.rows - rank
     if target == 0:
         return KroneckerProfile((), rank)
-
     d = int(m.degree) if m.degree is not NEG_INF else 0
-    cap = max(m.cols * d, 0)  # every index is at most n*d
-    ech = _Echelon(m.cols * (cap + d + 1), m.field.p)
-    indices: list[int] = []
-    c = m.coeffs
-    for delta in range(cap + 1):
-        if m.rows * (delta + 1) > max_rows:
+    cap = m.cols * d
+    top = max_rows // m.rows - 1  # the largest bound the guard admits
+    delta = 0
+    while True:
+        if delta > top:
             raise TooLarge(
                 f"index sweep reached {m.rows * (delta + 1)} linearized rows "
                 f"(guard is {max_rows})"
             )
-        # the m rows the Toeplitz linearization gains at this degree
-        fresh = np.zeros((m.rows, ech.width), dtype=np.int64)
-        for e in range(c.shape[2]):
-            fresh[:, (delta + e) * m.cols : (delta + e + 1) * m.cols] = c[:, :, e]
-        for row in fresh:
-            ech.add(row)
-        # kernel dimension at this bound, minus what the indices found
-        # so far explain (each contributes delta - index + 1 shifts),
-        # leaves exactly the count of fresh indices equal to delta
-        dim = m.rows * (delta + 1) - ech.rank
-        new = dim - sum(delta - di + 1 for di in indices)
-        indices.extend([delta] * new)
-        if len(indices) == target:
+        t = np.ascontiguousarray(_toeplitz(m, delta).T)
+        profile = _eliminate(t, m.field.p, t.shape[1])
+        ends = m.rows * np.arange(1, delta + 2)
+        counts = np.diff(ends - np.searchsorted(profile, ends), prepend=0)  # indices <= e
+        if counts[-1] >= target or delta == cap:
             break
-    if len(indices) != target:
+        # double, but try the guard's own bound before going past it
+        delta = min(2 * delta + 1, cap, max(top, delta + 1))
+    if counts[-1] != target:
         raise RuntimeError("index sweep did not converge; rank oracle inconsistent")
-    return KroneckerProfile(tuple(indices), rank)
+    indices = np.repeat(np.arange(delta + 1), np.diff(counts, prepend=0))
+    return KroneckerProfile(tuple(int(e) for e in indices), rank)

@@ -525,24 +525,11 @@ def pm_mul_mod(a: PolyMatrix, b: PolyMatrix, order: int, start: int = 0) -> Poly
 # -- shifted degrees and row reduction --------------------------------
 
 
-def tdeg_row(v: Sequence[Poly], t: Shift) -> Union[int, float]:
-    """Shifted degree max_j (deg v_j - t_j); NEG_INF for a zero row."""
-    if len(v) != len(t):
-        raise DimensionMismatch(f"row length {len(v)} does not match shift length {len(t)}")
-    best: Union[int, float] = NEG_INF
-    for f, tj in zip(v, t):
-        if not f.is_zero():
-            cand = len(f.coeffs) - 1 - tj
-            if best is NEG_INF or cand > best:
-                best = cand
-    return best
-
-
 def row_tdegs(n: PolyMatrix, t: Shift) -> np.ndarray:
     """Shifted degree of every row, as floats; NEG_INF for a zero row.
 
-    Same values as ``tdeg_row`` on each row, read off the coefficient tensor;
-    a matrix keeps its unshifted row degrees, so they are read once.
+    Read off the coefficient tensor; a matrix keeps its unshifted row
+    degrees, so they are read once.
     """
     if n._row_degrees is None or any(t):
         nz = n.coeffs != 0

@@ -23,16 +23,6 @@ from .errors import DimensionMismatch, ModulusMismatch, SingularAtZero, Singular
 from .polymat import PolyMatrix, const_inv, mat_mul_mod
 
 
-def series_inverse(a: PolyMatrix, eta: int) -> PolyMatrix:
-    """X with X*A == A*X == I mod x^eta, as a matrix of degree below eta.
-
-    Requires A square with A(0) invertible; raises SingularAtZero
-    otherwise, which usually means the surrounding matrix does not have
-    full column rank.
-    """
-    return left_quotient_series(PolyMatrix.identity(a.field, a.rows), a, eta)
-
-
 def left_quotient_series(b: PolyMatrix, a: PolyMatrix, eta: int) -> PolyMatrix:
     """Expansion of B * A^(-1) mod x^eta, as a matrix of degree below eta."""
     return _lift_from(b, a, PolyMatrix.zeros(b.field, b.rows, b.cols), 0, eta)

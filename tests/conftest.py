@@ -6,7 +6,16 @@ import random
 
 import pytest
 
-from polynull import FieldSpec, Poly, PolyMatrix, pm_mul, pm_random
+from polynull import (
+    NEG_INF,
+    DimensionMismatch,
+    FieldSpec,
+    Poly,
+    PolyMatrix,
+    left_quotient_series,
+    pm_mul,
+    pm_random,
+)
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +85,25 @@ def poly_level_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
             row.append(acc)
         rows.append(row)
     return PolyMatrix.from_polys(rows)
+
+
+def series_inverse(a: PolyMatrix, eta: int) -> PolyMatrix:
+    """X with X*A == A*X == I mod x^eta: the left quotient of the identity by A."""
+    return left_quotient_series(PolyMatrix.identity(a.field, a.rows), a, eta)
+
+
+def tdeg_row(v, t):
+    """Shifted degree max_j (deg v_j - t_j) of a row of Polys; NEG_INF for a
+    zero row.  The Poly-level referee for ``row_tdegs``."""
+    if len(v) != len(t):
+        raise DimensionMismatch(f"row length {len(v)} does not match shift length {len(t)}")
+    best = NEG_INF
+    for f, tj in zip(v, t):
+        if not f.is_zero():
+            cand = len(f.coeffs) - 1 - tj
+            if best is NEG_INF or cand > best:
+                best = cand
+    return best
 
 
 def planted_rank(field, m, n, r, d, rng):

@@ -24,14 +24,12 @@ from polynull import (
     pm_random,
     rank_oracle,
     select_low_rows,
-    series_inverse,
     sigma_basis,
-    tdeg_row,
 )
 from polynull.field import FieldSpec, Poly
 from polynull.polymat import _mul_eval_interp, const_rank
 
-from conftest import log2_ceil, make_rng, planted_rank
+from conftest import log2_ceil, make_rng, planted_rank, series_inverse, tdeg_row
 
 FIELD = FieldSpec()  # p = 2^31 - 1
 

@@ -240,9 +240,10 @@ class TestGenericThresholdFirst:
         m = edited(field, self.SHAPE, 51, edit)
         res = nullspace_minimal_vectors(m, self.DELTA, RandomPlan(53, max_retries=0))
         assert reconstructions == {"sigma_basis": [140], "continued": [(140, 193)]}
-        # kronecker_indices(m) on both inputs (it takes about 90 s per input at
-        # this size, so the small case below runs the oracle itself): the zero
-        # or repeated row gives index 0 and the other 11 share 640 as 9 * 58 + 2 * 59
+        # kronecker_indices(m) on both inputs (6-7 s per input at this size on
+        # one BLAS thread, which Tier-1 cannot spend twice, so the small case
+        # below runs the oracle itself): the zero or repeated row gives index 0
+        # and the other 11 share 640 as 9 * 58 + 2 * 59
         assert res.degrees == (0,) + (58,) * 9 + (59,) * 2
         assert all(rows_annihilate(res.vectors, m)) and is_row_reduced(res.vectors)
 

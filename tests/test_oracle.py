@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from polynull import (
+    DEFAULT_PRIME,
+    FieldSpec,
     Poly,
     PolyMatrix,
     TooLarge,
@@ -119,7 +121,9 @@ class TestKroneckerIndices:
         profile = kronecker_indices(m)
         assert profile.indices == (3,)
 
-    def test_self_consistency_and_basis(self, field):
+    @pytest.mark.parametrize("p", [DEFAULT_PRIME, 101])
+    def test_self_consistency_and_basis(self, p):
+        field = FieldSpec(p)
         rng = make_rng(5)
         drawn = []
         for _ in range(8):
@@ -140,11 +144,25 @@ class TestKroneckerIndices:
                 assert profile.indices == planted
             assert len(profile.indices) == m.rows - profile.rank
             assert profile.indices == tuple(sorted(profile.indices))
-            # the sweep's incremental echelon against const_kernel's elimination:
-            # at bound delta, index e contributes the delta - e + 1 shifts of its vector
+            # the rank-profile sweep against const_kernel at each bound delta,
+            # where index e contributes the delta - e + 1 shifts of its vector
             for delta in range(max(profile.indices, default=0) + 2):
                 want = sum(max(0, delta - e + 1) for e in profile.indices)
                 assert kernel_linearized(m, delta).rows == want, delta
+
+    def test_size_guard(self, field):
+        # indices (2, 5) on 4 rows: the sweep tries bounds 0, 1 and 3, all short
+        # of 5, then doubles to 7 (32 rows); it must raise exactly when the
+        # largest index's 4 * (5 + 1) = 24 rows pass the guard, also for a
+        # guard below the 4 rows of bound 0, and answer at 24 <= g < 32
+        m, planted = planted_indices(field, make_rng(7), degs=(2, 5))
+        assert m.rows == 4
+        for g in range(40):
+            if m.rows * (max(planted) + 1) > g:
+                with pytest.raises(TooLarge):
+                    kronecker_indices(m, max_rows=g)
+            else:
+                assert kronecker_indices(m, max_rows=g).indices == planted
 
     def test_zero_matrix(self, field):
         m = PolyMatrix.zeros(field, 3, 2)

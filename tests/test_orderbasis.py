@@ -16,14 +16,12 @@ from polynull import (
     pm_mul_mod,
     pm_random,
     select_low_rows,
-    series_inverse,
     sigma_basis,
-    tdeg_row,
 )
 from polynull.orderbasis import _basis_from
 from polynull.polymat import const_rank, is_row_reduced, row_tdegs, vstack
 
-from conftest import make_rng, poly, poly_level_matmul
+from conftest import make_rng, poly, poly_level_matmul, series_inverse, tdeg_row
 
 # 2 and 3 take the one-dgemm branch of the update product, 2^31 - 1 the limb one
 PRIMES = (2, 3, 1009, 2**31 - 1)

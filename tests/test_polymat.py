@@ -20,12 +20,11 @@ from polynull import (
     pm_mul_mod,
     pm_random,
     rank_oracle,
-    tdeg_row,
 )
 from polynull import polymat
 from polynull.polymat import _EXACT, _randrange_draws, const_inv, independent_columns, mat_mul_mod, row_tdegs
 
-from conftest import make_rng, planted_rank, poly, poly_level_matmul, schoolbook_mul
+from conftest import make_rng, planted_rank, poly, poly_level_matmul, schoolbook_mul, tdeg_row
 
 # 2^21 - 9, a prime whose single-dgemm bound K * (p-1)^2 < 2^53 ends at K = 2048
 SWITCH_PRIME = 2097143

@@ -15,12 +15,11 @@ from polynull import (
     left_quotient_series,
     pm_mul_mod,
     pm_random,
-    series_inverse,
 )
 from polynull.polymat import const_inv, const_rank
 from polynull.series import _lift_from
 
-from conftest import make_rng, poly, poly_level_matmul
+from conftest import make_rng, poly, poly_level_matmul, series_inverse
 
 
 def invertible_at_zero(field, n, d, rng):
