@@ -35,7 +35,7 @@ multiplied by x^(j-k) at once.  Per order the bound goes to max(top,
 min(top + 1, b)) with b rising by one: it holds top until b passes it,
 then adds one, so over n orders it is max(top, min(top + n, b_n)).
 
-Continuation: L, its tdegs and one windowed product for L*G's slabs k..
+Continuation: L, its tdegs and two windowed products for L*G's slabs k..
 rebuild the array at order k (top from deg L), and a forced run across k
 resumes on the same live rows, in order, all pivots: one run's L and tdegs.
 """
@@ -81,12 +81,22 @@ def _basis_from(g: PolyMatrix, basis: SigmaBasis, t: Shift, start: int, order: i
 
     # row i is [(L*G)_i mod x^order | L_i], slab-major: slab e of L*G at e*s,
     # slab e of L at rw + e*q; one row operation on L is the same on L*G.
-    # L*G's slabs start.. are one windowed product, G itself from L = I at 0
-    resid = pm_mul_mod(basis.L, g, order, start) if start else g
-    width, rw, kl = min(resid.coeffs.shape[2], order - start), order * s, basis.L.coeffs.shape[2]
+    # L*G's slabs start.. are windowed products (G itself from L = I at 0), one
+    # for G's rows zero past x^0 (the generator's -I), which meet only L's
+    # slabs start.. and so make one product with G's x^0 slab, one for the rest
+    rw, kl = order * s, basis.L.coeffs.shape[2]
     w = np.zeros((q, rw + (order + 1) * q), dtype=np.int64)
-    slabs = resid.coeffs[:, :, :width].transpose(0, 2, 1).reshape(q, width * s)
-    w[:, start * s : (start + width) * s] = slabs
+    parts = [g]
+    if start:
+        const = ~g.coeffs[:, :, 1:].any(axis=(1, 2))
+        parts = [pm_mul_mod(basis.L.submatrix(range(q), rows), g.take_rows(rows), order, start)
+                 for rows in (np.flatnonzero(const), np.flatnonzero(~const))]
+    for part in parts:
+        width = min(part.coeffs.shape[2], order - start)
+        slabs = part.coeffs[:, :, :width].transpose(0, 2, 1).reshape(q, width * s)
+        w[:, start * s : (start + width) * s] += slabs
+    if start:  # the parts' sum
+        _reduce(w[:, start * s : rw], p)
     w[:, rw : rw + kl * q] = basis.L.coeffs.transpose(0, 2, 1).reshape(q, kl * q)
     tdegs, tmax = list(basis.tdegs), max(t)
     k, top = start, kl - 1  # the order, and a bound on deg L

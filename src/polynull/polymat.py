@@ -444,30 +444,43 @@ def _mul_eval_interp(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     p = a.field.p
     da, db = a.coeffs.shape[2] - 1, b.coeffs.shape[2] - 1
     npts = da + db + 1
-    pts = np.arange(npts, dtype=np.int64)  # distinct mod p: pm_mul sends npts > p elsewhere
-    va = _power_table(pts, da, p)  # (npts, da+1)
-    vb = _power_table(pts, db, p)
-    evals_a = mat_mul_mod(a.coeffs.reshape(-1, da + 1), va.T, p)  # (m*kin, npts)
-    evals_b = mat_mul_mod(b.coeffs.reshape(-1, db + 1), vb.T, p)
+    h = npts // 2
+    # The points 0, +-1, ..., +-h (2h + 1 >= npts); pm_mul sends npts > p elsewhere,
+    # so 2h < p: p is odd and y_j = j^2 (j = 0..h) are distinct mod p.  With
+    # f(x) = f_e(x^2) + x*f_o(x^2), f(+-j) = f_e(y_j) +- j*f_o(y_j), and row j of
+    # the table holds y_j^k in column 2k and j*y_j^k in column 2k + 1.
+    table = _power_table(np.arange(h + 1, dtype=np.int64), 2 * h, p)
+    evals = []
+    for f, deg in ((a, da), (b, db)):
+        c = f.coeffs.reshape(-1, deg + 1)
+        even, odd = (mat_mul_mod(table[:, e : deg + 1 : 2], c[:, e::2].T, p) for e in (0, 1))
+        evals.append((_reduce(even + odd, p), _reduce(even - odd, p)))  # f(j), f(-j) in row j
     m, kin, n = a.rows, a.cols, b.cols
-    prods = np.empty((npts, m * n), dtype=np.int64)
-    for t in range(npts):
-        am = evals_a[:, t].reshape(m, kin)
-        bm = evals_b[:, t].reshape(kin, n)
-        prods[t] = mat_mul_mod(am, bm, p).reshape(-1)
-    vand_inv = const_inv(_power_table(pts, npts - 1, p), p)
-    out = mat_mul_mod(vand_inv, prods, p)  # (npts, m*n), row e = coeff of x^e
-    return PolyMatrix(a.field, np.ascontiguousarray(out.T.reshape(m, n, npts)))
+    prods = np.empty((2, h + 1, m * n), dtype=np.int64)  # c(j) and c(-j)
+    for side in range(2):
+        for t in range(side, h + 1):  # c(-0) is c(0)
+            am, bm = evals[0][side][t].reshape(m, kin), evals[1][side][t].reshape(kin, n)
+            prods[side, t] = mat_mul_mod(am, bm, p).reshape(-1)
+    prods[1, 0] = prods[0, 0]
+    # c = c_e(x^2) + x*c_o(x^2), c_e(y_j) = (c(j) + c(-j))/2 on y_0..y_h and
+    # c_o(y_j) = (c(j) - c(-j))/2j on y_1..y_h: 1/2 and 1/2j scale the inverses' columns
+    inv_e = const_inv(table[:, 0::2], p) * pow(2, -1, p) % p
+    inv_o = const_inv(table[1:, 0 : 2 * h : 2], p) * [pow(2 * j, -1, p) for j in range(1, h + 1)] % p
+    out = np.empty((2 * h + 1, m * n), dtype=np.int64)  # row e = coeff of x^e
+    out[0::2] = mat_mul_mod(inv_e, _reduce(prods[0] + prods[1], p), p)
+    out[1::2] = mat_mul_mod(inv_o, _reduce(prods[0, 1:] - prods[1, 1:], p), p)
+    return PolyMatrix(a.field, _trim(out[:npts].T.reshape(m, n, npts)), _normalized=True)
 
 
 def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Exact product.
 
-    Evaluation/interpolation on the grid 0, 1, 2, ... when both factors
-    have positive degree and p >= npts, the number of product
-    coefficients; otherwise ``pm_mul_mod`` at full order, a slab
-    convolution that makes one ``mat_mul_mod`` call when either factor
-    is constant.
+    Evaluation/interpolation on the grid 0, +-1, ..., +-h (h = npts // 2)
+    when both factors have positive degree and p >= npts, the number of
+    product coefficients: even and odd halves evaluated at y = x^2, and
+    interpolated by two half-size Vandermonde inverses in y.  Otherwise
+    ``pm_mul_mod`` at full order, a slab convolution that makes one
+    ``mat_mul_mod`` call when either factor is constant.
     """
     if a.field.p != b.field.p:
         raise ModulusMismatch("mixed moduli")

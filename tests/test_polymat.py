@@ -264,6 +264,47 @@ class TestPmMul:
             want = mat_mul_mod(a.eval(pt), b.eval(pt), field.p)
             assert np.array_equal(pm_mul(a, b).eval(pt), want)
 
+    @pytest.mark.parametrize("da, db", [(4, 4), (3, 4), (1, 6)])
+    def test_eval_interp_inverts_two_half_vandermondes(self, monkeypatch, field, da, db):
+        # points 0, +-1, ..., +-h: c_e on y_0..y_h and c_o on y_1..y_h, y_j = j^2
+        p, h = field.p, (da + db + 1) // 2
+        rng = make_rng(210 + 10 * da + db)
+        a, b = pm_random(2, 3, da, field, rng), pm_random(3, 2, db, field, rng)
+        inverted, real_inv = [], polymat.const_inv
+        monkeypatch.setattr(polymat, "const_inv", lambda m0, q: inverted.append(m0) or real_inv(m0, q))
+        assert pm_mul(a, b) == poly_level_matmul(a, b)
+        vand = [[pow(j * j, k, p) for k in range(h + 1)] for j in range(h + 1)]
+        assert [v.shape for v in inverted] == [(h + 1, h + 1), (h, h)]
+        assert np.array_equal(inverted[0], vand)
+        assert np.array_equal(inverted[1], np.array(vand)[1:, :h])
+
+
+@st.composite
+def eval_interp_factors(draw):
+    """(a, b) with npts = da + db + 1 <= p: odd and even point counts, unequal
+    degrees down to 0 and 1 (an empty or one-slab odd half), whole zero slabs,
+    and npts = p at small primes, where 0, +-1, ..., +-h is every residue."""
+    p = draw(st.sampled_from((3, 5, 7, 11, MERSENNE)))
+    npts = draw(st.one_of(st.just(min(p, 12)), st.integers(1, min(p, 12))))
+    da = draw(st.integers(0, npts - 1))
+    m, s, n = (draw(st.integers(1, 3)) for _ in range(3))
+    factors = []
+    for rows, cols, k in ((m, s, da + 1), (s, n, npts - da)):
+        size = rows * cols * k
+        c = np.array(draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size)))
+        c = c.reshape(rows, cols, k)
+        c[:, :, sorted(draw(st.sets(st.integers(0, k - 1))))] = 0
+        factors.append(PolyMatrix(FieldSpec(p), c))
+    return factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(eval_interp_factors())
+def test_eval_interp_against_convolution(factors):
+    a, b = factors
+    npts = a.coeffs.shape[2] + b.coeffs.shape[2] - 1
+    assert polymat._mul_eval_interp(a, b) == pm_mul_mod(a, b, npts)
+
 
 class TestPmMulMod:
     def test_order_zero(self, field):
