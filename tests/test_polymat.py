@@ -156,6 +156,23 @@ class TestMatMulMod:
             assert (k - 1) * (p - 1) ** 2 + (p - 2) ** 2 > _EXACT
         assert mat_mul_mod(a, b, p).tolist() == want
 
+    @pytest.mark.parametrize("p", [1009, MERSENNE])
+    @pytest.mark.parametrize("k", [1, 32, 33, 64, 65, 129, CHUNK + 1])
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+    def test_stack_equals_stacked_2d_calls(self, p, k, t, orientation):
+        # at 2^31 - 1, k up to 64 takes two limbs, 65 three of 15 bits, 129
+        # three of 14 bits, and past CHUNK the inner size is cut into chunks;
+        # a 2-D left operand broadcasts against the stack
+        rng = np.random.default_rng([p, k, t])
+        m, n = (3 * x for x in ORIENTATIONS[orientation])
+        a = rng.integers(p - 4, p, size=(t, m, k))
+        b = rng.integers(0, p, size=(t, k, n))
+        want = np.stack([mat_mul_mod(a[i], b[i], p) for i in range(t)])
+        assert np.array_equal(mat_mul_mod(a, b, p), want)
+        want = np.stack([mat_mul_mod(a[0], b[i], p) for i in range(t)])
+        assert np.array_equal(mat_mul_mod(a[0], b, p), want)
+
     @pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 3), (2, 3, 0)])
     def test_empty_dimensions(self, field, shape):
         m, k, n = shape
@@ -265,18 +282,26 @@ class TestPmMul:
             assert np.array_equal(pm_mul(a, b).eval(pt), want)
 
     @pytest.mark.parametrize("da, db", [(4, 4), (3, 4), (1, 6)])
-    def test_eval_interp_inverts_two_half_vandermondes(self, monkeypatch, field, da, db):
-        # points 0, +-1, ..., +-h: c_e on y_0..y_h and c_o on y_1..y_h, y_j = j^2
+    def test_eval_interp_inverts_one_vandermonde(self, monkeypatch, field, da, db):
+        # points 0, +-1, ..., +-h: (c_e - c(0))/y and c_o both interpolate on
+        # y_1..y_h (y_j = j^2), through one inverse of powers 0..h-1
         p, h = field.p, (da + db + 1) // 2
         rng = make_rng(210 + 10 * da + db)
         a, b = pm_random(2, 3, da, field, rng), pm_random(3, 2, db, field, rng)
         inverted, real_inv = [], polymat.const_inv
         monkeypatch.setattr(polymat, "const_inv", lambda m0, q: inverted.append(m0) or real_inv(m0, q))
         assert pm_mul(a, b) == poly_level_matmul(a, b)
-        vand = [[pow(j * j, k, p) for k in range(h + 1)] for j in range(h + 1)]
-        assert [v.shape for v in inverted] == [(h + 1, h + 1), (h, h)]
+        vand = [[pow(j * j, k, p) for k in range(h)] for j in range(1, h + 1)]
+        assert len(inverted) == 1
         assert np.array_equal(inverted[0], vand)
-        assert np.array_equal(inverted[1], np.array(vand)[1:, :h])
+
+    def test_points_in_several_stacks(self, field):
+        # the 64x64 output is the largest operand: 4 points per stacked call, so
+        # the 13 points take 4 calls
+        rng = make_rng(215)
+        a, b = pm_random(64, 2, 6, field, rng), pm_random(2, 64, 6, field, rng)
+        assert polymat._STACK_ENTRIES // (64 * 64) * 3 < 13
+        assert pm_mul(a, b) == pm_mul_mod(a, b, 13)
 
 
 @st.composite

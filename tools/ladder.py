@@ -29,7 +29,11 @@ same degree d in the same process (``pm_mul_s``, median of nine: a median
 of three moved by up to 1.5x between rounds on one tree) and gives
 ``mm_ratio``, the ``nullspace`` median over that product's: the paper puts
 ``nullspace`` at a constant times one such product, up to logarithmic
-factors, so a ratio that grows with d measures the distance.
+factors, so a ratio that grows with d measures the distance.  The
+dimension axis prints the same columns for planted m x n inputs at d = 16
+with n = 12, 24, 48 and 96, m = 4n/3 and rank 5n/6, each ``pm_mul_s``
+from an m x n by n x n product, so a ratio that grows with n measures it
+in n.
 
 The height rung solves planted m x 24 inputs of degree 4 at rank 2 and 20,
 for m = 48, 96, 192, 384, 480 and 960, and at rank 20 of degree 16 for
@@ -58,6 +62,8 @@ from pathlib import Path
 
 M, N, RANK = 32, 24, 20
 DEGREES = (8, 16, 32, 64)
+# the dimension axis: planted (4n/3) x n inputs of rank 5n/6 at d = 16
+DIMENSIONS, DIMENSION_D = (12, 24, 48, 96), 16
 PRODUCT_SIZE, PRODUCT_DEGREES = 32, (16, 32, 64, 128)
 HEIGHTS = (48, 96, 192, 384, 480, 960)
 # (rank, d, heights); at d = 16 and 32 a harvest still opens more than
@@ -145,17 +151,10 @@ def main(argv=None) -> int:
 
     field = polynull.FieldSpec(polynull.DEFAULT_PRIME)
     for d in DEGREES:
-        rng = np.random.default_rng([INPUT_SEED, d])
-        m = _planted(polynull, field, rng, M, N, RANK, d)
-        runs, ans = _runs(acc, lambda: polynull.nullspace(m, polynull.RandomPlan(seed=PLAN_SEED)))
-        a, b = (polynull.PolyMatrix(field, rng.integers(0, field.p, size=(rows, N, d + 1))) for rows in (M, N))
-        mm_runs, _ = _runs(acc, lambda: polynull.pm_mul(a, b), PRODUCT_REPEATS)
-        mm_s = statistics.median(r["total_s"] for r in mm_runs)
-        line = {"call": "nullspace", "m": M, "n": N, "rank": ans.rank, "p": field.p, "d": d}
-        total_s = statistics.median(r["total_s"] for r in runs)
-        _print(line, runs, ("total_s", "lifting_s", "sigma_basis_s", "certify_s"),
-               pm_mul_s=round(mm_s, 4), mm_ratio=round(total_s / mm_s, 1),
-               order_sum=runs[-1]["order_sum"], continued=runs[-1]["continued"])
+        _cost_line(polynull, acc, field, np.random.default_rng([INPUT_SEED, d]), {}, M, N, RANK, d)
+    for n in DIMENSIONS:
+        rng = np.random.default_rng([INPUT_SEED, n, DIMENSION_D])
+        _cost_line(polynull, acc, field, rng, {"rung": "dimension"}, 4 * n // 3, n, 5 * n // 6, DIMENSION_D)
     for rank, d, heights in HEIGHT_RUNGS:
         for m_rows in heights:
             # the d = 4 inputs keep the seeds of earlier ladders
@@ -176,6 +175,21 @@ def main(argv=None) -> int:
         line = {"call": "pm_mul", "m": PRODUCT_SIZE, "n": PRODUCT_SIZE, "p": field.p, "d": d}
         _print(line, runs, ("total_s", "const_inv_s"))
     return 0
+
+
+def _cost_line(polynull, acc: dict, field, rng, line: dict, rows: int, cols: int, rank: int, d: int) -> None:
+    """Print one ``nullspace`` line on a planted rows x cols input, with ``pm_mul_s``
+    and ``mm_ratio`` from a rows x cols by cols x cols product of degree d."""
+    m = _planted(polynull, field, rng, rows, cols, rank, d)
+    runs, ans = _runs(acc, lambda: polynull.nullspace(m, polynull.RandomPlan(seed=PLAN_SEED)))
+    a, b = (polynull.PolyMatrix(field, rng.integers(0, field.p, size=(r, cols, d + 1))) for r in (rows, cols))
+    mm_runs, _ = _runs(acc, lambda: polynull.pm_mul(a, b), PRODUCT_REPEATS)
+    mm_s = statistics.median(r["total_s"] for r in mm_runs)
+    line = {"call": "nullspace", **line, "m": rows, "n": cols, "rank": ans.rank, "p": field.p, "d": d}
+    total_s = statistics.median(r["total_s"] for r in runs)
+    _print(line, runs, ("total_s", "lifting_s", "sigma_basis_s", "certify_s"),
+           pm_mul_s=round(mm_s, 4), mm_ratio=round(total_s / mm_s, 1),
+           order_sum=runs[-1]["order_sum"], continued=runs[-1]["continued"])
 
 
 def _planted(polynull, field, rng, rows: int, cols: int, rank: int, d: int):
