@@ -11,21 +11,20 @@ Two levels:
   shifted order basis, and certifies the harvest by exact annihilation
   and a row-reducedness check.
 
-* ``nullspace`` handles any m x n input.  One elimination of the
-  coefficient stack [M_0 | ... | M_d] first splits off the constant
-  kernel, a direct summand of the nullspace (Forney 1975), and leaves
-  the s = rank(stack) <= r(d+1) rows D @ M; at s = m nothing splits and
-  M goes on unchanged.  Then one conditioning, one harvest and one
-  certificate per attempt: a Monte Carlo evaluation guesses the
-  rank r, a random column compression reduces to r columns, a random
-  mix of the lower rows added into the top r makes them independent,
-  and ``_harvest`` stacks minimal-vectors calls, each keeping every
-  vector it finds, until the m - r rows below the top are closed: up to
-  c = max(2r, ``_HARVEST_ROWS``) open rows at the input's degree, closing
-  at least c - r, while more than r are open, then halving passes whose
-  threshold doubles as the open count halves (the paper's 2n x n step).
-  The harvests' structure gives the basis rank m - r, so one
-  exact annihilation product proves the answer or rejects it.
+* ``nullspace`` handles any m x n input.  One elimination of the transposed
+  coefficient stack [M_0 | ... | M_d] first gives its row rank profile P,
+  |P| <= r(d+1), and splits off the constant kernel, a direct summand
+  (Forney 1975); the attempts run on M's rows P.  Then one conditioning, one
+  harvest and one certificate per attempt: a Monte Carlo evaluation guesses
+  the rank r, a random column compression reduces to r columns, a random mix
+  of the lower rows added into the top r makes them independent, and
+  ``_harvest`` stacks minimal-vectors calls, each keeping every vector it
+  finds, until the m - r rows below the top are closed: up to
+  c = max(2r, ``_HARVEST_ROWS``) open rows at the input's degree, closing at
+  least c - r, while more than r are open, then halving passes whose
+  threshold doubles as the open count halves (the paper's 2n x n step).  The
+  harvests' structure gives the basis rank m - r, so one exact annihilation
+  product proves the answer or rejects it.
 
 Reconstruction runs to eta(delta0), delta0 = min(delta, ceil(nd/p)), and
 on to eta(delta) only if fewer than p rows reach delta0: a generic
@@ -64,11 +63,13 @@ from .orderbasis import _basis_from, select_low_rows, sigma_basis
 from .polymat import (
     PolyMatrix,
     _eliminate,
+    _profile_kernel,
     const_rank,
     const_random,
     hstack,
     independent_columns,
     is_row_reduced,
+    mat_mul_mod,
     pm_mul_mod,
     pm_random,
     row_tdegs,
@@ -342,31 +343,34 @@ def _nullspace_once(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
 def nullspace(m: PolyMatrix, plan: RandomPlan) -> NullspaceResult:
     """Certified rank and m - rank independent left nullspace vectors.
 
-    One elimination of [M_0 | ... | M_d | I] first: with s the stack's rank,
-    its rows past s are [0 | C] (checked) and its first s rows [D @ stack | D],
-    so U = [C ; D], the elimination's transform, is invertible and
-    U @ M = [0 ; D @ M].  A kernel vector v = w @ U needs only
-    w2 @ (D @ M) = 0, so [C ; N' @ D] is a basis for any basis N' of D @ M's
-    kernel, and rank M = rank(D @ M).  The constant part is a direct summand:
-    w -> w @ U keeps every row degree and the rank of the leading
-    coefficients, so independence and minimality carry over.  At s = m
-    nothing splits and the attempts run on M itself.
+    One elimination of stack.T, stack = [M_0 | ... | M_d], gives the stack's
+    row rank profile P and each row j off P as X_j @ stack[P] (checked).  With
+    C = [I off P | -X on P] and D the selection of the rows P, U = [C ; D] is
+    a permutation of [[-X, I], [I, 0]], so det U = +-1 and U @ M = [0 ; M[P]].
+    A kernel vector v = w @ U needs only w2 @ M[P] = 0, so [C ; N' @ D] (N'
+    at the columns P) is a basis for any basis N' of M[P]'s kernel, and
+    rank M = rank M[P].  The constant part is a direct summand: w -> w @ U
+    keeps every row degree and the rank of the leading coefficients, so
+    independence and minimality carry over.  At |P| = m nothing splits.
 
-    The attempts certify N' against D @ M: exact annihilation, and the
+    The attempts certify N' against M[P]: exact annihilation, and the
     harvests' structure makes it independent, which proves the rank; fails
     (after retries) rather than ever returning an uncertified answer.
     """
     rows, field, width = m.rows, m.field, m.cols * m.coeffs.shape[2]
-    aug = np.concatenate([m.coeffs.reshape(rows, width), np.eye(rows, dtype=np.int64)], axis=1)
-    s = len(_eliminate(aug, field.p, width))
-    if s == rows:
+    stack = m.coeffs.reshape(rows, width)
+    t = stack.T.copy()
+    # rank m on 2m rows proves |P| = m cheaply; else all of t goes on (the RREF is unique)
+    if (2 * rows < width and len(_eliminate(t[: 2 * rows], field.p, rows)) == rows
+            or len(pivots := _eliminate(t, field.p, rows)) == rows):
         return _retry(plan, lambda: _nullspace_once(m, plan))
-    if aug[s:, :width].any():
+    off, kernel = _profile_kernel(t, pivots, field.p)
+    if not np.array_equal(mat_mul_mod(t[: len(pivots), off].T, stack[pivots], field.p), stack[off]):
         raise RankCandidateWrong("a constant kernel row does not annihilate the coefficient stack")
-    kernel = PolyMatrix.from_const(field, aug[s:, width:])
-    if s == 0:
-        return NullspaceResult(0, kernel, (0,) * rows, 0, plan.seed)
-    reduced = PolyMatrix(field, aug[:s, :width].reshape(s, m.cols, -1))
-    res = _retry(plan, lambda: _nullspace_once(reduced, plan))
-    basis = vstack(kernel, res.basis @ PolyMatrix.from_const(field, aug[:s, width:]))
-    return dataclasses.replace(res, basis=basis, degrees=(0,) * (rows - s) + res.degrees)
+    if not pivots:
+        return NullspaceResult(0, PolyMatrix.from_const(field, kernel), (0,) * rows, 0, plan.seed)
+    res = _retry(plan, lambda: _nullspace_once(m.take_rows(pivots), plan))
+    c = np.zeros((rows - res.rank, rows, res.basis.coeffs.shape[2]), dtype=np.int64)
+    c[: len(off), :, 0], c[len(off) :, pivots] = kernel, res.basis.coeffs
+    basis = PolyMatrix(field, c, _normalized=True)
+    return dataclasses.replace(res, basis=basis, degrees=(0,) * len(off) + res.degrees)

@@ -186,14 +186,22 @@ def const_rank(m0: np.ndarray | Sequence[Sequence[int]], p: int) -> int:
 
 
 def const_kernel(m0: np.ndarray | Sequence[Sequence[int]], p: int) -> np.ndarray:
-    """Row basis of the left kernel {v : v @ m0 = 0} over F_p.
+    """Row basis of the left kernel {v : v @ m0 = 0} over F_p, (m - rank) x m: one row per row j
+    of m0 off its row rank profile, a 1 at j, 0 at every other row off it, last nonzero at j."""
+    t = _as_array(m0, p).T.copy()
+    return _profile_kernel(t, _eliminate(t, p, t.shape[1]), p)[1]
 
-    Returns a (m - rank) x m array; empty (0, m) when m0 has full row rank.
-    """
-    a = _as_array(m0, p)
-    aug = np.concatenate([a, np.eye(a.shape[0], dtype=np.int64)], axis=1)
-    rank = len(_eliminate(aug, p, a.shape[1]))
-    return aug[rank:, a.shape[1] :].copy()
+
+def _profile_kernel(t: np.ndarray, pivots: list[int], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows j of a = t.T off its row rank profile P and a's kernel rows e_j - X_j, from t
+    reduced by ``_eliminate`` with pivots P, whose column j, X_j, is row j's coordinates on P."""
+    off = np.ones(t.shape[1], dtype=bool)  # a mask: np.setdiff1d costs tens of µs a call
+    off[pivots] = False
+    off = np.flatnonzero(off)
+    kernel = np.zeros((len(off), t.shape[1]), dtype=np.int64)
+    kernel[:, pivots] = -t[: len(pivots), off].T % p
+    kernel[np.arange(len(off)), off] = 1
+    return off, kernel
 
 
 def const_inv(m0: np.ndarray, p: int) -> np.ndarray:

@@ -59,6 +59,14 @@ def test_kernel_rows(case):
     assert kern.shape == (m - rank, m)
     assert not any(any(row) for row in int_matmul(kern, a, p))
     assert len(gauss_jordan(kern, p)[1]) == m - rank
+    # the row-profile form: one row per row j of a off the reference profile of
+    # a.T's columns, with a 1 at j, 0 at the other rows off it, last nonzero at j
+    profile = gauss_jordan(a.T, p)[1]
+    off = [j for j in range(m) if j not in profile]
+    assert len(off) == kern.shape[0]
+    for row, j in zip(kern.tolist(), off):
+        assert row[j] == 1 and not any(row[i] for i in off if i != j)
+        assert not any(row[j + 1 :])
 
 
 @settings(max_examples=300, deadline=None)

@@ -429,9 +429,9 @@ class TestNullspaceDriver:
 
 
 class TestDegreeZeroSplit:
-    """``nullspace`` eliminates the coefficient stack [M_0 | ... | M_d] once:
-    the constant kernel C comes straight from it, and the attempts run on
-    the stack's s independent rows D @ M, unless s = m."""
+    """``nullspace`` eliminates the transposed coefficient stack [M_0 | ... | M_d]
+    once: its pivots are the stack's row rank profile P, the constant kernel C
+    is read off it, and the attempts run on M's own rows P, unless |P| = m."""
 
     @pytest.fixture
     def attempts(self, monkeypatch):
@@ -452,8 +452,8 @@ class TestDegreeZeroSplit:
         assert res.basis == PolyMatrix.identity(field, 4)
 
     def test_constant_input_answered_by_the_elimination(self, field, harvests):
-        # d = 0: the stack is M_0, so C is its whole kernel and D @ M has full
-        # row rank, which the attempt returns before any harvest
+        # d = 0: the stack is M_0, so C is its whole kernel and M's rows P have
+        # full row rank, which the attempt returns before any harvest
         m = planted_rank(field, 7, 4, 3, 0, make_rng(61))
         res = nullspace(m, RandomPlan(62))
         assert harvests() == 0
@@ -480,24 +480,68 @@ class TestDegreeZeroSplit:
         assert attempts and all(h <= 6 for h in attempts)
         assert res.degrees[: 14 - attempts[-1]] == (0,) * (14 - attempts[-1])
         assert res.degree_sum == sum(kronecker_indices(m).indices)
+        assert_kernel_leads(res, m, attempts[-1])
 
     def test_blocked_elimination_splits_a_tall_input(self, field, attempts):
-        # 120 x 24, rank 20, d = 4 (wide-harvest's shape): [stack | I] is
-        # 120 x 220, so the split goes by column panels; the stack has rank 100
+        # 120 x 24, rank 20, d = 4 (wide-harvest's shape): the transposed stack
+        # is 120 x 120, so the split goes by column panels; the stack has rank 100
         m = planted_rank(field, 120, 24, 20, 4, make_rng(35))
         res = nullspace(m, RandomPlan(36))
         assert attempts == [100]
         assert res.degrees[:20] == (0,) * 20
         assert certified(res, m)
+        assert_kernel_leads(res, m, 100)
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        """The heights of the arrays the split eliminated."""
+        real, heights = nullspace_module._eliminate, []
+
+        def recorded(aug, p, cols):
+            heights.append(aug.shape[0])
+            return real(aug, p, cols)
+
+        monkeypatch.setattr(nullspace_module, "_eliminate", recorded)
+        return heights
+
+    def test_full_row_rank_certified_on_2m_rows(self, field, attempts, eliminations):
+        # 8 x 6 at d = 4: 2m = 16 < 30 rows of the transposed stack, and those
+        # 16 rows have rank 8, so no full elimination runs and nothing splits
+        m = pm_random(8, 6, 4, field, make_rng(68))
+        res = nullspace(m, RandomPlan(69))
+        assert eliminations == [16]
+        assert attempts == [8]
+        once = nullspace_module._nullspace_once(m, RandomPlan(69))
+        assert (res.rank, res.degrees, res.retries_used) == (once.rank, once.degrees, 0)
+        assert res.basis == once.basis
+
+    def test_planted_constant_kernel_fails_the_certificate(self, field, attempts, eliminations):
+        # the same shape with row 7 = 2 row 0 + 3 row 1: 16 rows of rank 7 do
+        # not certify, the full elimination finds |P| = 7 and the split answers
+        c = pm_random(8, 6, 4, field, make_rng(70)).coeffs.copy()
+        c[7] = (2 * c[0] + 3 * c[1]) % field.p
+        m = PolyMatrix(field, c)
+        res = nullspace(m, RandomPlan(71))
+        assert eliminations == [16, 30]
+        assert attempts and all(h < 8 for h in attempts)
+        assert res.degrees[0] == 0
+        assert certified(res, m)
+        assert_kernel_leads(res, m, attempts[-1])
 
     def test_understated_stack_rank_raises(self, field, monkeypatch):
-        # an elimination that reports one pivot too few leaves a row with a
-        # nonzero stack part among C: the zero check rejects it
+        # an elimination that reports one pivot too few reads that row off P with
+        # zero coordinates: the exact check X @ stack[P] = stack[off P] rejects it
         real = nullspace_module._eliminate
         monkeypatch.setattr(nullspace_module, "_eliminate", lambda *args: real(*args)[:-1])
         m = planted_rank(field, 14, 3, 2, 2, make_rng(65))
         with pytest.raises(RankCandidateWrong, match="constant kernel"):
             nullspace(m, RandomPlan(65))
+
+
+def assert_kernel_leads(res, m, s):
+    """The basis's first m - s rows are the constant kernel of the coefficient stack."""
+    kernel = const_kernel(m.coeffs.reshape(m.rows, -1), m.field.p)
+    assert res.basis.block(0, m.rows - s, 0, m.rows) == PolyMatrix.from_const(m.field, kernel)
 
 
 def certified(res, m):

@@ -42,8 +42,12 @@ m = 480 and 960 and of degree 32 for m = 480: ``total_s`` and ``certify_s``
 retries included) in the last call and its ``degree_sum``.  On trees that
 split off the degree-0 kernel first, it also prints ``split_rows``, the
 rank s of the coefficient stack (the rows left to the attempts, s = m when
-nothing splits), and ``split_s``, the seconds of that one constant
-elimination (median of three).  It is the measurement behind
+nothing splits), and ``split_s``, the seconds of the split's constant
+elimination (median of three); the degree and dimension axes print
+``split_s`` too.  Where the split first certifies s = m on 2m rows of the
+transposed stack, both sum over the split's eliminations, the certificate
+and the full one: ``split_rows`` is then the certificate's rank plus s
+when the certificate fails.  It is the measurement behind
 ``nullspace``'s ``_HARVEST_ROWS``, the rows a harvest may open below a
 low-rank top, and its 480 -> 960 step shows how far the cost of a tall
 input is from linear in m.
@@ -148,13 +152,15 @@ def main(argv=None) -> int:
     split = hasattr(ns, "_eliminate")  # older trees run every row through the attempts
     if split:
         ns._eliminate = _ranked(_timed(ns._eliminate, acc, "split_s"), acc, "split_rows")
+    split_keys = ("split_s",) if split else ()
 
     field = polynull.FieldSpec(polynull.DEFAULT_PRIME)
     for d in DEGREES:
-        _cost_line(polynull, acc, field, np.random.default_rng([INPUT_SEED, d]), {}, M, N, RANK, d)
+        _cost_line(polynull, acc, field, np.random.default_rng([INPUT_SEED, d]), {}, M, N, RANK, d, split_keys)
     for n in DIMENSIONS:
         rng = np.random.default_rng([INPUT_SEED, n, DIMENSION_D])
-        _cost_line(polynull, acc, field, rng, {"rung": "dimension"}, 4 * n // 3, n, 5 * n // 6, DIMENSION_D)
+        _cost_line(polynull, acc, field, rng, {"rung": "dimension"}, 4 * n // 3, n, 5 * n // 6, DIMENSION_D,
+                   split_keys)
     for rank, d, heights in HEIGHT_RUNGS:
         for m_rows in heights:
             # the d = 4 inputs keep the seeds of earlier ladders
@@ -164,7 +170,7 @@ def main(argv=None) -> int:
             line = {"call": "nullspace", "rung": "height", "m": m_rows, "n": HEIGHT_N,
                     "rank": ans.rank, "p": field.p, "d": d}
             extra = {"split_rows": runs[-1]["split_rows"]} if split else {}
-            _print(line, runs, ("total_s", "certify_s") + (("split_s",) if split else ()),
+            _print(line, runs, ("total_s", "certify_s") + split_keys,
                    harvests=runs[-1]["harvests"], order_sum=runs[-1]["order_sum"],
                    continued=runs[-1]["continued"], degree_sum=ans.degree_sum, **extra)
     for d in PRODUCT_DEGREES:
@@ -177,9 +183,10 @@ def main(argv=None) -> int:
     return 0
 
 
-def _cost_line(polynull, acc: dict, field, rng, line: dict, rows: int, cols: int, rank: int, d: int) -> None:
-    """Print one ``nullspace`` line on a planted rows x cols input, with ``pm_mul_s``
-    and ``mm_ratio`` from a rows x cols by cols x cols product of degree d."""
+def _cost_line(polynull, acc: dict, field, rng, line: dict, rows: int, cols: int, rank: int, d: int,
+               split_keys: tuple) -> None:
+    """Print one ``nullspace`` line on a planted rows x cols input, with ``split_keys``, and
+    ``pm_mul_s`` and ``mm_ratio`` from a rows x cols by cols x cols product of degree d."""
     m = _planted(polynull, field, rng, rows, cols, rank, d)
     runs, ans = _runs(acc, lambda: polynull.nullspace(m, polynull.RandomPlan(seed=PLAN_SEED)))
     a, b = (polynull.PolyMatrix(field, rng.integers(0, field.p, size=(r, cols, d + 1))) for r in (rows, cols))
@@ -187,7 +194,7 @@ def _cost_line(polynull, acc: dict, field, rng, line: dict, rows: int, cols: int
     mm_s = statistics.median(r["total_s"] for r in mm_runs)
     line = {"call": "nullspace", **line, "m": rows, "n": cols, "rank": ans.rank, "p": field.p, "d": d}
     total_s = statistics.median(r["total_s"] for r in runs)
-    _print(line, runs, ("total_s", "lifting_s", "sigma_basis_s", "certify_s"),
+    _print(line, runs, ("total_s", "lifting_s", "sigma_basis_s", "certify_s") + split_keys,
            pm_mul_s=round(mm_s, 4), mm_ratio=round(total_s / mm_s, 1),
            order_sum=runs[-1]["order_sum"], continued=runs[-1]["continued"])
 
