@@ -191,8 +191,8 @@ def _minimal_vectors_once(m: PolyMatrix, delta: int, plan: RandomPlan) -> Minima
     compress = plan.poly_matrix(n, p_dim, max(d - 1, 0), field) if p_dim < n else None
     compressed = expansion if compress is None else pm_mul_mod(expansion, compress, eta)
     neg = -PolyMatrix.identity(field, c_dim)
-    # the first block absorbs the compression's degree-(d-1) inflation;
-    # for a constant input the compression is constant and the shift is 0
+    # the first block absorbs the compression's degree-(d-1) inflation (0 for a constant
+    # input's constant one), which lets sigma_basis write its first max(d, 1) orders
     shift = [max(d - 1, 0)] * c_dim + [0] * p_dim
     basis = sigma_basis(vstack(neg, compressed), eta, shift)
     kappa, picked = select_low_rows(basis, threshold)

@@ -35,6 +35,15 @@ multiplied by x^(j-k) at once.  Per order the bound goes to max(top,
 min(top + 1, b)) with b rising by one: it holds top until b passes it,
 then adds one, so over n orders it is max(top, min(top + n, b_n)).
 
+Head: on nullspace's generator G = [-I_s ; F], one shift t0 on -I_s, the
+first K = min(order, t0 - max t[s:] + 1) orders are closed-form.  At k < K
+a -I row's tdeg -t0 + k is at most -max t[s:], so at most every other row's
+(ties go to the lower index): the -I rows lead the live rows, their residual
+-I has rank s, so they pivot, and each other live row j loses its x^k slab,
+F_j's, changing no later slab.  At K, row i < s is x^K e_i, residual -e_i,
+tdeg -t0 + K; row j is e_j + F_j mod x^K, L*G from slab K on still G's; the
+other tdegs stay, top = K, and a forced run across K goes on as one run would.
+
 Continuation: L, its tdegs and two windowed products for L*G's slabs k..
 rebuild the array at order k (top from deg L), and a forced run across k
 resumes on the same live rows, in order, all pivots: one run's L and tdegs.
@@ -100,6 +109,17 @@ def _basis_from(g: PolyMatrix, basis: SigmaBasis, t: Shift, start: int, order: i
     w[:, rw : rw + kl * q] = basis.L.coeffs.transpose(0, 2, 1).reshape(q, kl * q)
     tdegs, tmax = list(basis.tdegs), max(t)
     k, top = start, kl - 1  # the order, and a bound on deg L
+    if not start and (head := _head(g, order, t)):
+        # the generator's head at order K (module docstring): row i < s is x^K e_i,
+        # residual -e_i (none if K = order: slab K would be L's), row j e_j + F_j mod x^K
+        k = top = head
+        i, width = np.arange(s), min(g.coeffs.shape[2], k)
+        w[i, rw + i], w[i, rw + k * q + i] = 0, 1
+        if k < order:
+            w[i, k * s + i] = p - 1
+        lf = w[s:, rw : rw + width * q].reshape(q - s, width, q)  # a view of L's slabs ..width
+        lf[:, :, :s] = g.coeffs[s:, :, :width].transpose(0, 2, 1)
+        tdegs[:s] = [d + k for d in tdegs[:s]]
 
     while k < order:
         # L*G vanishes below x^k, so its x^k coefficient is the residual
@@ -139,6 +159,14 @@ def _basis_from(g: PolyMatrix, basis: SigmaBasis, t: Shift, start: int, order: i
     # L's slabs past top are zero and its entries reduced: trim, no % p
     l_mat = w[:, rw : rw + (top + 1) * q].reshape(q, top + 1, q).transpose(0, 2, 1)
     return SigmaBasis(PolyMatrix(field, _trim(l_mat), _normalized=True), tuple(tdegs))
+
+
+def _head(g: PolyMatrix, order: int, t: Shift) -> int:
+    """K = min(order, t0 - max t[s:] + 1) if G is [-I_s ; F] with one shift t0 on -I_s, else 0."""
+    s, c = g.cols, g.coeffs[: g.cols]
+    k = min(order, int(t[0]) - int(max(t[s:])) + 1) if 0 < s < g.rows and len(set(t[:s])) == 1 else 0
+    neg = (g.field.p - 1) * np.eye(s, dtype=np.int64)
+    return k if k > 0 and not c[:, :, 1:].any() and np.array_equal(c[:, :, 0], neg) else 0
 
 
 def select_low_rows(basis: SigmaBasis, delta: int | float) -> tuple[int, list[int]]:

@@ -133,6 +133,8 @@ def _eliminate(aug: np.ndarray, p: int, cols: int) -> list[int]:
     pivots: list[int] = []
     for c0 in range(0, cols, _PANEL):
         r, b = len(pivots), min(_PANEL, cols - c0)
+        if r < c0 and not aug[r:, c0:cols].any():  # after a short panel: no pivot left
+            break
         panel = np.concatenate([aug[r:, c0 : c0 + b], np.zeros_like(aug[r:, :b])], axis=1)
         order = list(range(len(panel)))
         found = [c0 + j for j in _pivot_loop(panel, p, b, order)]

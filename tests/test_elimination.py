@@ -137,3 +137,25 @@ def test_blocked_elimination_matches_reference():
             assert _eliminate(got, p, a.shape[1]) == want_pivots, (p, aug.shape)
             assert got.tolist() == want, (p, aug.shape)
     assert paths == {True, False}
+
+
+def test_blocked_elimination_stops_without_pivots(monkeypatch):
+    """Once a short panel leaves no pivot to the right, no further panel runs."""
+    import polynull.polymat as polymat
+
+    p, rng = 2**31 - 1, np.random.default_rng(60)
+    a = (rng.integers(0, p, (120, 60)) @ rng.integers(0, 1 << 20, (60, 120)) % p).astype(np.int64)
+    want = a.copy()
+    want_pivots = polymat._pivot_loop(want, p, 120)
+    assert len(want_pivots) == 60
+    panels, loop = [], polymat._pivot_loop
+
+    def counted(*args):
+        panels.append(args[2])
+        return loop(*args)
+
+    monkeypatch.setattr(polymat, "_pivot_loop", counted)
+    got = a.copy()
+    assert _eliminate(got, p, 120) == want_pivots
+    assert np.array_equal(got, want)
+    assert 1 <= len(panels) <= 4

@@ -18,6 +18,7 @@ from polynull import (
     select_low_rows,
     sigma_basis,
 )
+from polynull import orderbasis
 from polynull.orderbasis import _basis_from
 from polynull.polymat import const_rank, is_row_reduced, row_tdegs, vstack
 
@@ -238,6 +239,69 @@ def test_continued_basis_at_nullspace_scale(field):
     t = [d - 1] * 12 + [0] * 12
     continued = _basis_from(gen, sigma_basis(gen, 140, t), t, 140, 193)
     assert_same_basis(continued, sigma_basis(gen, 193, t))
+
+
+@st.composite
+def head_cases(draw):
+    """(g, order, t, start): G = [-I_c ; F] with shift t0 on -I_c; F's rows lose drawn
+    prefixes of slabs and whole slabs, so forced runs start below the head's order and
+    cross it.  t0 - max t[c:] runs from -2 (no head) up, and t = 0 is nullspace's d = 0."""
+    p = draw(st.sampled_from((7, 2**31 - 1)))
+    c, rest = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    order = draw(st.integers(0, 12))
+    width = draw(st.integers(1, order + 2))
+    entry = st.one_of(st.integers(0, p - 1), st.sampled_from((0, 1, p - 1)))
+    flat = draw(st.lists(entry, min_size=rest * c * width, max_size=rest * c * width))
+    f = np.array(flat, dtype=np.int64).reshape(rest, c, width)
+    for e in draw(st.sets(st.integers(0, width - 1), max_size=width)):
+        f[:, :, e] = 0
+    for j, lag in enumerate(draw(st.lists(st.integers(0, width), min_size=rest, max_size=rest))):
+        f[j, :, :lag] = 0
+    field = FieldSpec(p)
+    g = vstack(-PolyMatrix.identity(field, c), PolyMatrix(field, f))
+    if draw(st.booleans()):
+        t = [0] * (c + rest)
+    else:
+        low = draw(st.lists(st.integers(-3, 3), min_size=rest, max_size=rest))
+        t = [max(low) + draw(st.integers(-2, 8))] * c + low
+    return g, order, t, draw(st.integers(0, order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(head_cases())
+def test_head_is_the_plain_loop(case):
+    g, order, t, start = case
+    c = g.cols
+    want_k = min(order, t[0] - max(t[c:]) + 1)
+    assert orderbasis._head(g, order, t) == max(want_k, 0)
+    headed = sigma_basis(g, order, t)
+    continued = _basis_from(g, sigma_basis(g, start, t), t, start, order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orderbasis, "_head", lambda *args: 0)
+        plain = sigma_basis(g, order, t)
+    assert_same_basis(headed, plain)
+    assert_same_basis(continued, plain)
+
+
+def test_head_skips_its_eliminations(monkeypatch, field):
+    # lift-deep's generator shape: 24x12, order 140, t0 = d - 1 = 31, so K = 32
+    gen = vstack(-PolyMatrix.identity(field, 12), random_series(field, 12, 12, 140, make_rng(43)))
+    t = [31] * 12 + [0] * 12
+    assert orderbasis._head(gen, 140, t) == 32
+    calls, eliminate = [], orderbasis._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(orderbasis, "_eliminate", counted)
+    headed = sigma_basis(gen, 140, t)
+    headed_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(orderbasis, "_head", lambda *args: 0)
+    plain = sigma_basis(gen, 140, t)
+    assert_same_basis(headed, plain)
+    assert len(calls) == headed_calls + 32
 
 
 class TestSelectLowRows:

@@ -22,8 +22,11 @@ inside the certificates ``rows_annihilate`` and ``is_row_reduced``; for
 over the call and the median of three calls.  On ``nullspace`` lines,
 ``order_sum`` is the sum of the orders the call's harvests reconstructed
 to, a continued one counted to the order it reached, and ``continued``
-how many harvests went on past the generic order eta(ceil(nd/p)); both
-are from the last call and repeat exactly for the fixed seeds.
+how many harvests went on past the generic order eta(ceil(nd/p)), and
+``basis_eliminations`` how many constant eliminations the order bases
+ran (calls to ``orderbasis._eliminate``, on trees that have it, also
+on the height rung); all three are from the last call and repeat
+exactly for the fixed seeds.
 Each ``nullspace`` line also times one 32x24 by 24x24 ``pm_mul`` of the
 same degree d in the same process (``pm_mul_s``, median of nine: a median
 of three moved by up to 1.5x between rounds on one tree) and gives
@@ -153,14 +156,21 @@ def main(argv=None) -> int:
     if split:
         ns._eliminate = _ranked(_timed(ns._eliminate, acc, "split_s"), acc, "split_rows")
     split_keys = ("split_s",) if split else ()
+    ob = sys.modules["polynull.orderbasis"]
+    counts = ()
+    if hasattr(ob, "_eliminate"):  # older trees eliminate through another name
+        acc["basis_eliminations"] = 0
+        ob._eliminate = _counted(ob._eliminate, acc, "basis_eliminations")
+        counts = ("basis_eliminations",)
 
     field = polynull.FieldSpec(polynull.DEFAULT_PRIME)
     for d in DEGREES:
-        _cost_line(polynull, acc, field, np.random.default_rng([INPUT_SEED, d]), {}, M, N, RANK, d, split_keys)
+        _cost_line(polynull, acc, field, np.random.default_rng([INPUT_SEED, d]), {}, M, N, RANK, d, split_keys,
+                   counts)
     for n in DIMENSIONS:
         rng = np.random.default_rng([INPUT_SEED, n, DIMENSION_D])
         _cost_line(polynull, acc, field, rng, {"rung": "dimension"}, 4 * n // 3, n, 5 * n // 6, DIMENSION_D,
-                   split_keys)
+                   split_keys, counts)
     for rank, d, heights in HEIGHT_RUNGS:
         for m_rows in heights:
             # the d = 4 inputs keep the seeds of earlier ladders
@@ -170,6 +180,7 @@ def main(argv=None) -> int:
             line = {"call": "nullspace", "rung": "height", "m": m_rows, "n": HEIGHT_N,
                     "rank": ans.rank, "p": field.p, "d": d}
             extra = {"split_rows": runs[-1]["split_rows"]} if split else {}
+            extra.update((key, runs[-1][key]) for key in counts)
             _print(line, runs, ("total_s", "certify_s") + split_keys,
                    harvests=runs[-1]["harvests"], order_sum=runs[-1]["order_sum"],
                    continued=runs[-1]["continued"], degree_sum=ans.degree_sum, **extra)
@@ -184,9 +195,10 @@ def main(argv=None) -> int:
 
 
 def _cost_line(polynull, acc: dict, field, rng, line: dict, rows: int, cols: int, rank: int, d: int,
-               split_keys: tuple) -> None:
-    """Print one ``nullspace`` line on a planted rows x cols input, with ``split_keys``, and
-    ``pm_mul_s`` and ``mm_ratio`` from a rows x cols by cols x cols product of degree d."""
+               split_keys: tuple, counts: tuple) -> None:
+    """Print one ``nullspace`` line on a planted rows x cols input, with ``split_keys``, the
+    last call's ``counts``, and ``pm_mul_s`` and ``mm_ratio`` from a rows x cols by cols x cols
+    product of degree d."""
     m = _planted(polynull, field, rng, rows, cols, rank, d)
     runs, ans = _runs(acc, lambda: polynull.nullspace(m, polynull.RandomPlan(seed=PLAN_SEED)))
     a, b = (polynull.PolyMatrix(field, rng.integers(0, field.p, size=(r, cols, d + 1))) for r in (rows, cols))
@@ -196,7 +208,8 @@ def _cost_line(polynull, acc: dict, field, rng, line: dict, rows: int, cols: int
     total_s = statistics.median(r["total_s"] for r in runs)
     _print(line, runs, ("total_s", "lifting_s", "sigma_basis_s", "certify_s") + split_keys,
            pm_mul_s=round(mm_s, 4), mm_ratio=round(total_s / mm_s, 1),
-           order_sum=runs[-1]["order_sum"], continued=runs[-1]["continued"])
+           order_sum=runs[-1]["order_sum"], continued=runs[-1]["continued"],
+           **{key: runs[-1][key] for key in counts})
 
 
 def _planted(polynull, field, rng, rows: int, cols: int, rank: int, d: int):
