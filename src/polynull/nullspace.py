@@ -27,14 +27,13 @@ Two levels:
   product proves the answer or rejects it.
 
 Reconstruction runs to eta(delta0), delta0 = min(delta, ceil(nd/p)), and
-on to eta(delta) only if fewer than p rows reach delta0: a generic
+again to eta(delta) only if fewer than p rows reach delta0: a generic
 block's p minimal indices sum to at most nd and are balanced (Zhou,
-Labahn and Storjohann, ISSAC 2012).  A continued lift and M-Basis are
-one run.  A kept row whose candidate [u | -v] annihilates has
-u = v*B*A^(-1) of degree <= delta0, annihilates the generator and keeps
-a zero residual, so one run at delta keeps it and certifies no other row
-(L is nonsingular, the kernel has rank p); rows under delta0 at
-eta(delta0) are exact and carry their degree on v on the draws the
+Labahn and Storjohann, ISSAC 2012).  A kept row whose candidate [u | -v]
+annihilates has u = v*B*A^(-1) of degree <= delta0, annihilates the
+generator and keeps a zero residual, so a run at delta keeps it and
+certifies no other row (L is nonsingular, the kernel has rank p); rows under
+delta0 at eta(delta0) are exact and carry their degree on v on the draws the
 reconstruction and the conditioning rest on: harvests close as before.
 
 Every certified return is correct; bad random draws surface as ``Fail``
@@ -59,7 +58,7 @@ from .errors import (
     SingularAtZero,
 )
 from .field import NEG_INF, FieldSpec
-from .orderbasis import _basis_from, select_low_rows, sigma_basis
+from .orderbasis import select_low_rows, sigma_basis
 from .polymat import (
     PolyMatrix,
     _eliminate,
@@ -75,7 +74,7 @@ from .polymat import (
     row_tdegs,
     vstack,
 )
-from .series import _lift_from, left_quotient_series
+from .series import left_quotient_series
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -180,33 +179,25 @@ def _minimal_vectors_once(m: PolyMatrix, delta: int, plan: RandomPlan) -> Minima
     x0 = plan.field_point(field)
     shifted = shifted.shift_var(x0)
     top, low = shifted.block(0, n, 0, n), shifted.block(n, rows, 0, n)
-    # first at the generic index bound: a balanced block closes all p rows
-    # there, with the answer one run at delta gives (module docstring)
-    threshold = min(delta, _ceil_div(n * d, p_dim))
-    eta = _reconstruction_order(threshold, d, n, p_dim)
-    # raises SingularAtZero when the pivot block is singular at 0
-    expansion = left_quotient_series(low, top, eta)
-
     c_dim = min(p_dim, n)
-    compress = plan.poly_matrix(n, p_dim, max(d - 1, 0), field) if p_dim < n else None
-    compressed = expansion if compress is None else pm_mul_mod(expansion, compress, eta)
     neg = -PolyMatrix.identity(field, c_dim)
     # the first block absorbs the compression's degree-(d-1) inflation (0 for a constant
     # input's constant one), which lets sigma_basis write its first max(d, 1) orders
     shift = [max(d - 1, 0)] * c_dim + [0] * p_dim
-    basis = sigma_basis(vstack(neg, compressed), eta, shift)
-    kappa, picked = select_low_rows(basis, threshold)
-    if kappa < p_dim and threshold < delta:
-        # an unbalanced block: the same lift and order basis go on to delta's order
-        threshold, start, eta = delta, eta, _reconstruction_order(delta, d, n, p_dim)
-        expansion = _lift_from(low, top, expansion, start, eta)
-        if compress is None:
-            compressed = expansion
-        else:  # the stored slabs, then the rest from one windowed product
-            new = pm_mul_mod(expansion, compress, eta, compressed.coeffs.shape[2]).coeffs
-            compressed = PolyMatrix(field, np.concatenate([compressed.coeffs, new], axis=2))
-        basis = _basis_from(vstack(neg, compressed), basis, shift, start, eta)
+    compress = None
+    # first at the generic index bound: a balanced block closes all p rows
+    # there, with the answer one run at delta gives (module docstring)
+    for threshold in sorted({min(delta, _ceil_div(n * d, p_dim)), delta}):
+        eta = _reconstruction_order(threshold, d, n, p_dim)
+        # raises SingularAtZero when the pivot block is singular at 0
+        expansion = left_quotient_series(low, top, eta)
+        if compress is None and p_dim < n:  # drawn once, after the first lift: both passes share it
+            compress = plan.poly_matrix(n, p_dim, max(d - 1, 0), field)
+        compressed = expansion if compress is None else pm_mul_mod(expansion, compress, eta)
+        basis = sigma_basis(vstack(neg, compressed), eta, shift)
         kappa, picked = select_low_rows(basis, threshold)
+        if kappa >= p_dim:
+            break
     if kappa == 0:
         return MinimalVectorsResult(0, PolyMatrix.zeros(field, 0, rows), ())
 

@@ -70,15 +70,15 @@ def kernel_linearized(
 
 
 def rank_oracle(m: PolyMatrix) -> int:
-    """Rank over K(x) as the max constant rank over n*d + 1 points."""
+    """Rank over K(x) as the max constant rank over min(m, n)*d + 1 points."""
     if m.rows == 0 or m.cols == 0:
         return 0
     d = int(m.degree) if m.degree is not NEG_INF else 0
-    npts = m.cols * d + 1
+    cap = min(m.rows, m.cols)
+    npts = cap * d + 1  # a nonzero r x r minor has at most r*d roots: one point misses them
     if npts > m.field.p:
         raise FieldTooSmall(f"rank oracle needs {npts} points but p = {m.field.p}")
     best = 0
-    cap = min(m.rows, m.cols)
     for a in range(npts):
         best = max(best, const_rank(m.eval(a), m.field.p))
         if best == cap:

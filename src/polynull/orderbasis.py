@@ -43,10 +43,6 @@ a -I row's tdeg -t0 + k is at most -max t[s:], so at most every other row's
 F_j's, changing no later slab.  At K, row i < s is x^K e_i, residual -e_i,
 tdeg -t0 + K; row j is e_j + F_j mod x^K, L*G from slab K on still G's; the
 other tdegs stay, top = K, and a forced run across K goes on as one run would.
-
-Continuation: L, its tdegs and two windowed products for L*G's slabs k..
-rebuild the array at order k (top from deg L), and a forced run across k
-resumes on the same live rows, in order, all pivots: one run's L and tdegs.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .polymat import PolyMatrix, Shift, _eliminate, _reduce, _trim, mat_mul_mod, pm_mul_mod
+from .polymat import PolyMatrix, Shift, _eliminate, _reduce, _trim, mat_mul_mod
 
 
 @dataclass(frozen=True)
@@ -77,39 +73,21 @@ def sigma_basis(g: PolyMatrix, order: int, t: Shift) -> SigmaBasis:
         raise ValueError("order must be nonnegative")
     if len(t) != g.rows:
         raise DimensionMismatch(f"shift length {len(t)} does not match {g.rows} rows")
-    ident = SigmaBasis(PolyMatrix.identity(g.field, g.rows), tuple(-int(ti) for ti in t))
-    return _basis_from(g, ident, t, 0, order)
-
-
-def _basis_from(g: PolyMatrix, basis: SigmaBasis, t: Shift, start: int, order: int) -> SigmaBasis:
-    """``basis`` for ``g`` mod x^start (shift ``t``) continued to x^order, as one run gives it."""
-    q, s = g.rows, g.cols
-    if order <= start or s == 0 or q == 0:
-        return basis
+    q, s, tdegs = g.rows, g.cols, [-int(ti) for ti in t]
+    if order == 0 or s == 0 or q == 0:
+        return SigmaBasis(PolyMatrix.identity(g.field, q), tuple(tdegs))
     field, p = g.field, g.field.p
 
     # row i is [(L*G)_i mod x^order | L_i], slab-major: slab e of L*G at e*s,
     # slab e of L at rw + e*q; one row operation on L is the same on L*G.
-    # L*G's slabs start.. are windowed products (G itself from L = I at 0), one
-    # for G's rows zero past x^0 (the generator's -I), which meet only L's
-    # slabs start.. and so make one product with G's x^0 slab, one for the rest
-    rw, kl = order * s, basis.L.coeffs.shape[2]
+    # At order 0, L = I and L*G is G
+    rw, width = order * s, min(g.coeffs.shape[2], order)
     w = np.zeros((q, rw + (order + 1) * q), dtype=np.int64)
-    parts = [g]
-    if start:
-        const = ~g.coeffs[:, :, 1:].any(axis=(1, 2))
-        parts = [pm_mul_mod(basis.L.submatrix(range(q), rows), g.take_rows(rows), order, start)
-                 for rows in (np.flatnonzero(const), np.flatnonzero(~const))]
-    for part in parts:
-        width = min(part.coeffs.shape[2], order - start)
-        slabs = part.coeffs[:, :, :width].transpose(0, 2, 1).reshape(q, width * s)
-        w[:, start * s : (start + width) * s] += slabs
-    if start:  # the parts' sum
-        _reduce(w[:, start * s : rw], p)
-    w[:, rw : rw + kl * q] = basis.L.coeffs.transpose(0, 2, 1).reshape(q, kl * q)
-    tdegs, tmax = list(basis.tdegs), max(t)
-    k, top = start, kl - 1  # the order, and a bound on deg L
-    if not start and (head := _head(g, order, t)):
+    w[:, : width * s] = g.coeffs[:, :, :width].transpose(0, 2, 1).reshape(q, width * s)
+    w[:, rw : rw + q] = np.eye(q, dtype=np.int64)
+    tmax = max(t)
+    k = top = 0  # the order, and a bound on deg L
+    if head := _head(g, order, t):
         # the generator's head at order K (module docstring): row i < s is x^K e_i,
         # residual -e_i (none if K = order: slab K would be L's), row j e_j + F_j mod x^K
         k = top = head

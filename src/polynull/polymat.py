@@ -514,44 +514,41 @@ def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return _mul_eval_interp(a, b)
 
 
-def pm_mul_mod(a: PolyMatrix, b: PolyMatrix, order: int, start: int = 0) -> PolyMatrix:
-    """Slabs start..order-1 of a @ b (slab e of the result is x^(start+e)), by
-    truncated coefficient convolution; start = 0 gives (a @ b) mod x^order.
+def pm_mul_mod(a: PolyMatrix, b: PolyMatrix, order: int) -> PolyMatrix:
+    """(a @ b) mod x^order by truncated coefficient convolution.
 
     One ``mat_mul_mod`` call per coefficient slab of the shorter factor,
-    against the slabs of the other factor that it meets in the window,
+    against the slabs of the other factor that it meets below ``order``,
     laid side by side: O(min(ka, kb)) calls doing exactly the slab pairs
-    start <= i + j < order, with no Toeplitz copy of either factor.
+    i + j < order, with no Toeplitz copy of either factor.
     """
     if a.field.p != b.field.p:
         raise ModulusMismatch("mixed moduli")
     if a.cols != b.rows:
         raise DimensionMismatch(f"inner dimensions {a.cols} and {b.rows} differ")
-    if order < 0 or start < 0:
-        raise ValueError("order and start must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     p = a.field.p
     m, s, n = a.rows, a.cols, b.cols
     ka, kb = a.coeffs.shape[2], b.coeffs.shape[2]
     k = min(order, ka + kb - 1)
-    if k <= start or a.is_zero() or b.is_zero():
+    if k == 0 or a.is_zero() or b.is_zero():
         return PolyMatrix.zeros(a.field, m, n)
-    out = np.zeros((k - start, m, n), dtype=np.int64)  # slab-major; sums of < k values below p
+    out = np.zeros((k, m, n), dtype=np.int64)  # slab-major; sums of < k values below p
     if ka <= kb:
         wide = np.ascontiguousarray(b.coeffs.transpose(0, 2, 1))  # (s, kb, n)
         for i in range(min(ka, k)):
-            j0 = max(start - i, 0)  # the first slab of b inside the window
-            cnt = min(kb, k - i) - j0
-            if cnt > 0 and a.coeffs[:, :, i].any():
-                prod = mat_mul_mod(a.coeffs[:, :, i], wide[:, j0 : j0 + cnt].reshape(s, cnt * n), p)
-                out[i + j0 - start :][:cnt] += prod.reshape(m, cnt, n).transpose(1, 0, 2)
+            cnt = min(kb, k - i)
+            if a.coeffs[:, :, i].any():
+                prod = mat_mul_mod(a.coeffs[:, :, i], wide[:, :cnt].reshape(s, cnt * n), p)
+                out[i : i + cnt] += prod.reshape(m, cnt, n).transpose(1, 0, 2)
     else:
         tall = np.ascontiguousarray(a.coeffs.transpose(2, 0, 1))  # (ka, m, s)
         for j in range(min(kb, k)):
-            i0 = max(start - j, 0)
-            cnt = min(ka, k - j) - i0
-            if cnt > 0 and b.coeffs[:, :, j].any():
-                prod = mat_mul_mod(tall[i0 : i0 + cnt].reshape(cnt * m, s), b.coeffs[:, :, j], p)
-                out[i0 + j - start :][:cnt] += prod.reshape(cnt, m, n)
+            cnt = min(ka, k - j)
+            if b.coeffs[:, :, j].any():
+                prod = mat_mul_mod(tall[:cnt].reshape(cnt * m, s), b.coeffs[:, :, j], p)
+                out[j : j + cnt] += prod.reshape(cnt, m, n)
     return PolyMatrix(a.field, out.transpose(1, 2, 0))
 
 

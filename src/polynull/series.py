@@ -11,8 +11,8 @@ x^eta is the only solution once A(0) is invertible, and slabs of A past
 eta - 1 never reach an order below eta.  H is kept in reverse slab
 order, so the window H_(k-1), ..., H_(k-da) is one basic slice, laid
 side by side against the S_j stacked once: one kernel call per order,
-of inner size at most da * n.  Both functions return a plain
-``PolyMatrix`` of degree below the order the caller supplies.
+of inner size at most da * n.  It returns a plain ``PolyMatrix`` of
+degree below the order the caller supplies.
 """
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ from .polymat import PolyMatrix, const_inv, mat_mul_mod
 
 def left_quotient_series(b: PolyMatrix, a: PolyMatrix, eta: int) -> PolyMatrix:
     """Expansion of B * A^(-1) mod x^eta, as a matrix of degree below eta."""
-    return _lift_from(b, a, PolyMatrix.zeros(b.field, b.rows, b.cols), 0, eta)
-
-
-def _lift_from(b: PolyMatrix, a: PolyMatrix, head: PolyMatrix, start: int, eta: int) -> PolyMatrix:
-    """B * A^(-1) mod x^eta, continued from ``head`` = B * A^(-1) mod x^start:
-    one lift to eta, making only the orders start.. (module docstring)."""
     if a.field.p != b.field.p:
         raise ModulusMismatch("mixed moduli")
     if a.rows != a.cols or b.cols != a.rows:
@@ -50,11 +44,8 @@ def _lift_from(b: PolyMatrix, a: PolyMatrix, head: PolyMatrix, start: int, eta: 
     bt = mat_mul_mod(b.coeffs[:, :, :kb].transpose(2, 0, 1).reshape(kb * m, n), inv0, p)
     out = np.zeros((m, eta, n), dtype=np.int64)  # slab k at position eta - 1 - k
     out[:, eta - kb :] = bt.reshape(kb, m, n)[::-1].transpose(1, 0, 2)
-    kh = min(head.coeffs.shape[2], start)  # slabs kh..start-1 of the head are zero
-    out[:, eta - start :] = 0
-    out[:, eta - kh :] = head.coeffs[:, :, :kh][:, :, ::-1].transpose(0, 2, 1)
     flat = out.reshape(m, eta * n)
-    for k in range(max(start, 1), eta if da else 1):
+    for k in range(1, eta if da else 1):
         r, w = eta - 1 - k, min(k, da)
         out[:, r] += mat_mul_mod(flat[:, (r + 1) * n : (r + 1 + w) * n], s[: w * n], p)
         out[:, r] %= p

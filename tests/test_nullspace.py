@@ -190,22 +190,16 @@ class TestMinimalVectors:
 
 @pytest.fixture
 def reconstructions(monkeypatch):
-    """Orders of the minimal-vectors calls' ``sigma_basis`` runs, and the
-    (start, order) of each order basis they continued."""
-    calls = {"sigma_basis": [], "continued": []}
-    real_basis, real_from = nullspace_module.sigma_basis, nullspace_module._basis_from
+    """Orders of the minimal-vectors calls' ``sigma_basis`` runs."""
+    orders = []
+    real_basis = nullspace_module.sigma_basis
 
     def basis(g, order, t):
-        calls["sigma_basis"].append(order)
+        orders.append(order)
         return real_basis(g, order, t)
 
-    def continued(g, start_basis, t, start, order):
-        calls["continued"].append((start, order))
-        return real_from(g, start_basis, t, start, order)
-
     monkeypatch.setattr(nullspace_module, "sigma_basis", basis)
-    monkeypatch.setattr(nullspace_module, "_basis_from", continued)
-    return calls
+    return orders
 
 
 def edited(field, shape, seed, edit):
@@ -221,7 +215,7 @@ def edited(field, shape, seed, edit):
 class TestGenericThresholdFirst:
     """An (n+p) x n block is reconstructed first at delta0 = ceil(nd/p), where a
     generic block's p balanced minimal indices all lie; a block with an index
-    above it continues the same lift and order basis to delta's order."""
+    above it is lifted and reconstructed again at delta's order."""
 
     # 32 x 20 at d = 32: delta0 = ceil(640/12) = 54 at order 140, delta =
     # ceil(2*640/12) = 107 at order 193, the halving pass of lift-deep's shape
@@ -231,7 +225,7 @@ class TestGenericThresholdFirst:
         assert [_reconstruction_order(t, 32, 20, 12) for t in (54, 107)] == [140, 193]
         m = edited(field, self.SHAPE, 51, None)
         res = nullspace_minimal_vectors(m, self.DELTA, RandomPlan(52, max_retries=0))
-        assert reconstructions == {"sigma_basis": [140], "continued": []}
+        assert reconstructions == [140]
         assert res.degrees == (53,) * 8 + (54,) * 4  # balanced: 8 * 53 + 4 * 54 = 640
         assert all(rows_annihilate(res.vectors, m))
 
@@ -239,7 +233,7 @@ class TestGenericThresholdFirst:
     def test_unbalanced_block_continues(self, field, reconstructions, edit):
         m = edited(field, self.SHAPE, 51, edit)
         res = nullspace_minimal_vectors(m, self.DELTA, RandomPlan(53, max_retries=0))
-        assert reconstructions == {"sigma_basis": [140], "continued": [(140, 193)]}
+        assert reconstructions == [140, 193]
         # kronecker_indices(m) on both inputs (6-7 s per input at this size on
         # one BLAS thread, which Tier-1 cannot spend twice, so the small case
         # below runs the oracle itself): the zero or repeated row gives index 0
@@ -247,12 +241,28 @@ class TestGenericThresholdFirst:
         assert res.degrees == (0,) + (58,) * 9 + (59,) * 2
         assert all(rows_annihilate(res.vectors, m)) and is_row_reduced(res.vectors)
 
+    def test_one_compression_serves_both_passes(self, field, monkeypatch, reconstructions):
+        # p = 12 < n = 20 compresses: the draw comes once, after the first lift,
+        # so both passes reduce by the same matrix and the draws after it stay put
+        draws, real = [], RandomPlan.poly_matrix
+
+        def counted(plan, m, n, d, fld):
+            draws.append((m, n, d))
+            return real(plan, m, n, d, fld)
+
+        monkeypatch.setattr(RandomPlan, "poly_matrix", counted)
+        m = edited(field, self.SHAPE, 51, "zero")
+        res = nullspace_minimal_vectors(m, self.DELTA, RandomPlan(53, max_retries=0))
+        assert reconstructions == [140, 193]
+        assert draws == [(20, 12, 31)]
+        assert res.degrees == (0,) + (58,) * 9 + (59,) * 2
+
     @pytest.mark.parametrize("edit", ["zero", "duplicate"])
     def test_unbalanced_small_block_matches_oracle(self, field, reconstructions, edit):
         # 8 x 5 at d = 4: delta0 = 7, delta = 14; the indices are 0, 10, 10
         m = edited(field, (8, 5, 4), 54, edit)
         res = nullspace_minimal_vectors(m, 14, RandomPlan(55, max_retries=0))
-        assert reconstructions["continued"] == [(18, 25)]
+        assert reconstructions == [18, 25]
         assert res.degrees == kronecker_indices(m).indices == (0, 10, 10)
 
     @pytest.mark.parametrize(
@@ -275,11 +285,11 @@ class TestGenericThresholdFirst:
 
         m = edited(field, (9, 6, 3), 56, None)
         assert nullspace_minimal_vectors(m, 12, RandomPlan(57, max_retries=0)).degrees == (6, 6, 6)
-        assert reconstructions == {"sigma_basis": [15], "continued": []}
+        assert reconstructions == [15]
         monkeypatch.setattr(nullspace_module, "select_low_rows", wrong)
         with pytest.raises(fail):
             nullspace_minimal_vectors(m, 12, RandomPlan(57, max_retries=0))
-        assert reconstructions == {"sigma_basis": [15, 15], "continued": []}
+        assert reconstructions == [15, 15]
 
 
 class TestNullspace2n:

@@ -6,6 +6,7 @@ import pytest
 from polynull import (
     DEFAULT_PRIME,
     FieldSpec,
+    FieldTooSmall,
     Poly,
     PolyMatrix,
     TooLarge,
@@ -185,3 +186,26 @@ class TestRankOracle:
             r = rng.randrange(4)
             m = planted_rank(field, 5, 4, r, 3, rng)
             assert rank_oracle(m) == r
+
+    @staticmethod
+    def planted_3x9(p):
+        """3 x 2 by 2 x 9 at degree 2 each: rank 2, degree 4."""
+        field, rng = FieldSpec(p), make_rng(p)
+        m = pm_mul(pm_random(3, 2, 2, field, rng), pm_random(2, 9, 2, field, rng))
+        assert m.degree == 4
+        return m
+
+    def test_points_from_the_smaller_dimension(self):
+        # min(3, 9) * 4 + 1 = 13 points fit in p = 31; 9 * 4 + 1 = 37 would not
+        m = self.planted_3x9(31)
+        assert rank_oracle(m) == 2
+        profile = kronecker_indices(m)
+        assert profile.rank == 2 and len(profile.indices) == 1
+
+    def test_too_small_a_field_raises(self):
+        # 13 points do not fit in p = 11
+        m = self.planted_3x9(11)
+        with pytest.raises(FieldTooSmall):
+            rank_oracle(m)
+        with pytest.raises(FieldTooSmall):
+            kronecker_indices(m)

@@ -19,7 +19,6 @@ from polynull import (
     sigma_basis,
 )
 from polynull import orderbasis
-from polynull.orderbasis import _basis_from
 from polynull.polymat import const_rank, is_row_reduced, row_tdegs, vstack
 
 from conftest import make_rng, poly, poly_level_matmul, series_inverse, tdeg_row
@@ -201,49 +200,9 @@ def assert_same_basis(got, want):
     assert got.tdegs == want.tdegs
 
 
-@settings(max_examples=200, deadline=None)
-@given(series_cases(), st.data())
-def test_continued_basis_is_one_run(case, data):
-    g, order, t = case
-    # rows zero past x^0, as the nullspace generator's -I, go into their own product
-    constant = data.draw(st.sets(st.integers(0, g.rows - 1)), label="constant rows")
-    c = g.coeffs.copy()
-    c[sorted(constant), :, 1:] = 0
-    g = PolyMatrix(g.field, c)
-    start = data.draw(st.integers(0, order), label="start")
-    continued = _basis_from(g, sigma_basis(g, start, t), t, start, order)
-    assert_same_basis(continued, sigma_basis(g, order, t))
-
-
-@pytest.mark.parametrize("q, s, lag, order", [(3, 1, 3, 9), (8, 3, 4, 14), (24, 12, 5, 40)])
-def test_continued_basis_from_inside_a_forced_run(q, s, lag, order):
-    # as the jump cases above: rows :s pivot alone at every order below lag, one
-    # forced run from 0 to lag; continuing from inside it must land where one run does.
-    # Made constant, rows :s keep pivoting, so L reaches x^start in their columns
-    field = FieldSpec(2**31 - 1)
-    for constant in (False, True):
-        c = random_series(field, q, s, order, make_rng(q + lag)).coeffs.copy()
-        c[s:, :, :lag] = 0
-        if constant:
-            c[:s, :, 1:] = 0
-        g, t = PolyMatrix(field, c), [0] * s + [-(lag + 2)] * (q - s)
-        one_run = sigma_basis(g, order, t)
-        for start in (1, lag - 1, lag, lag + 1, order - 1):
-            assert_same_basis(_basis_from(g, sigma_basis(g, start, t), t, start, order), one_run)
-
-
-def test_continued_basis_at_nullspace_scale(field):
-    # lift-deep's generator shape, continued from order 140 to 193
-    rng, d = make_rng(42), 32
-    gen = vstack(-PolyMatrix.identity(field, 12), random_series(field, 12, 12, 193, rng))
-    t = [d - 1] * 12 + [0] * 12
-    continued = _basis_from(gen, sigma_basis(gen, 140, t), t, 140, 193)
-    assert_same_basis(continued, sigma_basis(gen, 193, t))
-
-
 @st.composite
 def head_cases(draw):
-    """(g, order, t, start): G = [-I_c ; F] with shift t0 on -I_c; F's rows lose drawn
+    """(g, order, t): G = [-I_c ; F] with shift t0 on -I_c; F's rows lose drawn
     prefixes of slabs and whole slabs, so forced runs start below the head's order and
     cross it.  t0 - max t[c:] runs from -2 (no head) up, and t = 0 is nullspace's d = 0."""
     p = draw(st.sampled_from((7, 2**31 - 1)))
@@ -264,23 +223,21 @@ def head_cases(draw):
     else:
         low = draw(st.lists(st.integers(-3, 3), min_size=rest, max_size=rest))
         t = [max(low) + draw(st.integers(-2, 8))] * c + low
-    return g, order, t, draw(st.integers(0, order))
+    return g, order, t
 
 
 @settings(max_examples=300, deadline=None)
 @given(head_cases())
 def test_head_is_the_plain_loop(case):
-    g, order, t, start = case
+    g, order, t = case
     c = g.cols
     want_k = min(order, t[0] - max(t[c:]) + 1)
     assert orderbasis._head(g, order, t) == max(want_k, 0)
     headed = sigma_basis(g, order, t)
-    continued = _basis_from(g, sigma_basis(g, start, t), t, start, order)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orderbasis, "_head", lambda *args: 0)
         plain = sigma_basis(g, order, t)
     assert_same_basis(headed, plain)
-    assert_same_basis(continued, plain)
 
 
 def test_head_skips_its_eliminations(monkeypatch, field):

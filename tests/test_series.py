@@ -17,7 +17,6 @@ from polynull import (
     pm_random,
 )
 from polynull.polymat import const_inv, const_rank
-from polynull.series import _lift_from
 
 from conftest import make_rng, poly, poly_level_matmul, series_inverse
 
@@ -172,44 +171,6 @@ def test_lifting_properties(case):
     if b.rows:  # the scalar product needs at least one entry
         assert poly_level_matmul(h, a).truncate(eta) == b.truncate(eta)
     assert h == pm_mul_mod(b, referee, eta)
-
-
-@settings(max_examples=75, deadline=None)
-@given(lifting_cases(), st.data())
-def test_extended_lift_is_one_lift(case, data):
-    a, b, eta = case
-    start = data.draw(st.integers(0, eta), label="start")
-    extended = _lift_from(b, a, left_quotient_series(b, a, start), start, eta)
-    one = left_quotient_series(b, a, eta)
-    assert np.array_equal(extended.coeffs, one.coeffs)
-
-
-def test_extended_lift_past_a_short_head(field):
-    # B = A = 1 - x, so H = 1: the head mod x^3 stores one slab, and slabs
-    # 1..2, where B_k * A(0)^(-1) is not zero, must stay zero
-    a = PolyMatrix.from_polys([[poly(field, 1, field.p - 1)]])
-    extended = _lift_from(a, a, left_quotient_series(a, a, 3), 3, 6)
-    assert extended == PolyMatrix.identity(field, 1)
-
-
-def test_extended_lift_makes_only_the_new_orders(monkeypatch):
-    """From order 140 to 193 at lift-deep's shape: the S_j and B_k products,
-    then one window product per order 140..192 and none below."""
-    field, rng = FieldSpec(2**31 - 1), np.random.default_rng(140)
-    a = PolyMatrix(field, rng.integers(0, field.p, size=(20, 20, 33)))
-    b = PolyMatrix(field, rng.integers(0, field.p, size=(12, 20, 33)))
-    head = left_quotient_series(b, a, 140)
-    series, inner = sys.modules["polynull.series"], []
-    kernel = series.mat_mul_mod
-
-    def counted(x, y, p):
-        inner.append(x.shape[1])
-        return kernel(x, y, p)
-
-    monkeypatch.setattr(series, "mat_mul_mod", counted)
-    extended = _lift_from(b, a, head, 140, 193)
-    assert inner == [20, 20] + [32 * 20] * (193 - 140)
-    assert extended == left_quotient_series(b, a, 193)
 
 
 def test_lifting_at_workload_scale():

@@ -16,13 +16,15 @@ p, for d = 16, 32, 64 and 128 (33 to 257 evaluation points).
 Prints one JSON line per d and rung: ``total_s`` is the wall time of the
 call; for ``nullspace``, ``lifting_s`` is the time inside
 ``left_quotient_series``, ``sigma_basis_s`` the time inside
-``sigma_basis`` (each with its continuation) and ``certify_s`` the time
-inside the certificates ``rows_annihilate`` and ``is_row_reduced``; for
-``pm_mul``, ``const_inv_s`` is the time inside ``const_inv``; each summed
-over the call and the median of three calls.  On ``nullspace`` lines,
-``order_sum`` is the sum of the orders the call's harvests reconstructed
-to, a continued one counted to the order it reached, and ``continued``
-how many harvests went on past the generic order eta(ceil(nd/p)), and
+``sigma_basis`` (on older trees each with its continuation) and
+``certify_s`` the time inside the certificates ``rows_annihilate`` and
+``is_row_reduced``; for ``pm_mul``, ``const_inv_s`` is the time inside
+``const_inv``; each summed over the call and the median of three calls.
+On ``nullspace`` lines, ``order_sum`` is the sum of the orders of the
+call's ``sigma_basis`` runs, both passes' orders for a harvest that ran
+two (older trees counted a continued one once, to the order it reached),
+``continued`` how many harvests ran ``sigma_basis`` more than once, past
+the generic order eta(ceil(nd/p)) (on older trees: continued it), and
 ``basis_eliminations`` how many constant eliminations the order bases
 ran (calls to ``orderbasis._eliminate``, on trees that have it, also
 on the height rung); all three are from the last call and repeat
@@ -100,6 +102,20 @@ def _counted(fn, acc: dict, key: str):
     return wrapper
 
 
+def _continued(fn, acc: dict):
+    """Count in ``acc["continued"]`` the calls of ``fn`` that ran ``sigma_basis``
+    more than once, by its runs in ``acc["bases"]``."""
+
+    def wrapper(*args):
+        before = acc["bases"]
+        try:
+            return fn(*args)
+        finally:
+            acc["continued"] += acc["bases"] - before > 1
+
+    return wrapper
+
+
 def _ordered(fn, acc: dict, key: str, orders):
     """Add ``orders(*args)``, the orders a call reconstructs, to ``acc[key]``."""
 
@@ -139,11 +155,12 @@ def main(argv=None) -> int:
     ns = sys.modules["polynull.nullspace"]
     pm = sys.modules["polynull.polymat"]
     acc = {"lifting_s": 0.0, "sigma_basis_s": 0.0, "certify_s": 0.0, "const_inv_s": 0.0, "harvests": 0,
-           "order_sum": 0, "continued": 0, "split_s": 0.0, "split_rows": 0}
+           "order_sum": 0, "continued": 0, "bases": 0, "split_s": 0.0, "split_rows": 0}
     ns.left_quotient_series = _timed(ns.left_quotient_series, acc, "lifting_s")
     ns.sigma_basis = _ordered(_timed(ns.sigma_basis, acc, "sigma_basis_s"), acc, "order_sum",
                               lambda g, order, t: order)
-    if hasattr(ns, "_basis_from"):  # older trees reconstruct once, with no continuation
+    ns.sigma_basis = _counted(ns.sigma_basis, acc, "bases")
+    if hasattr(ns, "_basis_from"):  # older trees continue the first run instead of a second
         ns._lift_from = _timed(ns._lift_from, acc, "lifting_s")
         basis_from = _timed(ns._basis_from, acc, "sigma_basis_s")
         basis_from = _ordered(basis_from, acc, "order_sum", lambda g, basis, t, start, order: order - start)
@@ -151,7 +168,7 @@ def main(argv=None) -> int:
     ns.rows_annihilate = _timed(ns.rows_annihilate, acc, "certify_s")
     ns.is_row_reduced = _timed(ns.is_row_reduced, acc, "certify_s")
     pm.const_inv = _timed(pm.const_inv, acc, "const_inv_s")
-    ns._minimal_vectors_once = _counted(ns._minimal_vectors_once, acc, "harvests")
+    ns._minimal_vectors_once = _continued(_counted(ns._minimal_vectors_once, acc, "harvests"), acc)
     split = hasattr(ns, "_eliminate")  # older trees run every row through the attempts
     if split:
         ns._eliminate = _ranked(_timed(ns._eliminate, acc, "split_s"), acc, "split_rows")
