@@ -142,11 +142,7 @@ def _degree_int(m: PolyMatrix) -> int:
 
 
 def rows_annihilate(rows: PolyMatrix, m: PolyMatrix) -> list[bool]:
-    """Exact per-row test of row @ m == 0.
-
-    One product ``pm_mul_mod`` at full order: a kernel call per slab of
-    the shorter factor, each over all rows at once.
-    """
+    """Exact per-row test of row @ m == 0: one ``pm_mul_mod`` at full order, over all rows at once."""
     order = rows.coeffs.shape[2] + m.coeffs.shape[2] - 1
     prod = pm_mul_mod(rows, m, order).coeffs
     return (~prod.any(axis=(1, 2))).tolist()

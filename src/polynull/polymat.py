@@ -44,37 +44,62 @@ _STACK_ENTRIES = 1 << 14
 
 
 def mat_mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for int64 arrays with entries in [0, p), p < 2^31, or
+    """Exact (a @ b) mod p for arrays with entries in [0, p), p < 2^31, or
     for stacks (..., m, K) and (..., K, n) broadcast as in ``@``.
 
     One float64 dgemm when K * (p-1)^2 < 2^53 for inner size K.  Otherwise
     one dgemm per limb of the operand with fewer entries per matrix, recombined
     mod p in int64, over chunks of the inner size with at most ``_MAX_LIMBS`` limbs.
+    One operand may be float64, even an overlapping strided view: it is used
+    as it is, never copied or cut, and the int64 operand is cut instead.
     """
     k = a.shape[-1]
     if k * (p - 1) ** 2 < _EXACT:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
-    bits = (p - 1).bit_length()
-    if bits > _MAX_MODULUS_BITS:
+        return (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)).astype(np.int64) % p
+    if (p - 1).bit_length() > _MAX_MODULUS_BITS:
         raise ValueError(f"modulus {p} exceeds {_MAX_MODULUS_BITS} bits")
-    chunk = (_EXACT - 1) // (((1 << -(-bits // _MAX_LIMBS)) - 1) * (p - 1))
-    if k > chunk:
+    if k > (chunk := _widest(_MAX_LIMBS, p)):
         parts = (mat_mul_mod(a[..., s : s + chunk], b[..., s : s + chunk, :], p) for s in range(0, k, chunk))
         return _reduce(sum(parts), p)
-    w = ((_EXACT - 1) // (k * (p - 1)) + 1).bit_length() - 1
-    cut_a = a.shape[-2] <= b.shape[-1]
-    cut, other = (a, b.astype(np.float64)) if cut_a else (b, a.astype(np.float64))
-    acc = None
-    for shift in range((bits - 1) // w * w, -1, -w):
-        limb = (cut >> shift) & ((1 << w) - 1)
-        prod = limb.astype(np.float64) @ other if cut_a else other @ limb.astype(np.float64)
-        if acc is None:
-            acc = prod.astype(np.int64)
-        else:
-            acc = _reduce(acc, p)
-            acc <<= w
-            acc += prod.astype(np.int64)
+    w = _width(k, p)
+    cut_a = a.shape[-2] <= b.shape[-1] if a.dtype == b.dtype else b.dtype == np.float64
+    cut, other = (a, b.astype(np.float64, copy=False)) if cut_a else (b, a.astype(np.float64, copy=False))
+    return _join((limb @ other if cut_a else other @ limb for limb in _limbs(cut, w, p)), w, p)
+
+
+def _width(k: int, p: int) -> int:
+    """Limb width at inner size k: p - 1's bits if one dgemm is exact, else the widest exact."""
+    if k * (p - 1) ** 2 < _EXACT:
+        return (p - 1).bit_length()
+    return ((_EXACT - 1) // (k * (p - 1)) + 1).bit_length() - 1
+
+
+def _widest(limbs: int, p: int) -> int:
+    """The largest inner size whose products take at most ``limbs`` limbs (one limb: one dgemm)."""
+    return (_EXACT - 1) // (min(p - 1, (1 << -(-(p - 1).bit_length() // limbs)) - 1) * (p - 1))
+
+
+def _limbs(x: np.ndarray, w: int, p: int):
+    """The w-bit limbs of int64 ``x``, top limb first, each as float64."""
+    for shift in range(((p - 1).bit_length() - 1) // w * w, -1, -w):
+        yield ((x >> shift) & ((1 << w) - 1)).astype(np.float64)
+
+
+def _join(prods, w: int, p: int) -> np.ndarray:
+    """Horner's rule mod p over float64 limb products, top limb first, in int64."""
+    prods = iter(prods)
+    acc = next(prods).astype(np.int64)
+    for prod in prods:
+        acc = _reduce(acc, p)
+        acc <<= w
+        acc += prod.astype(np.int64)
     return _reduce(acc, p)
+
+
+def _mul_limbs(x: np.ndarray, cut: np.ndarray, w: int, p: int) -> np.ndarray:
+    """(x @ y) mod p for float64 residues x (m, K) and y's w-bit limbs in ``cut`` (K, limbs, n):
+    one dgemm and one join.  K * (2^w - 1) * (p - 1) < 2^53 keeps it exact."""
+    return _join((x @ cut.reshape(len(cut), -1)).reshape(len(x), *cut.shape[1:]).transpose(1, 0, 2), w, p)
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -360,7 +385,7 @@ class PolyMatrix:
     # -- arithmetic ---------------------------------------------------
 
     def __neg__(self) -> PolyMatrix:
-        return PolyMatrix(self.field, (self.field.p - self._c) % self.field.p)
+        return PolyMatrix(self.field, _trim((self.field.p - self._c) % self.field.p), _normalized=True)
 
     def __matmul__(self, other: PolyMatrix) -> PolyMatrix:
         return pm_mul(self, other)
@@ -387,7 +412,7 @@ class PolyMatrix:
             trans[i, 1:i + 1] = (trans[i - 1, 1:i + 1] * a + trans[i - 1, 0:i]) % p
         flat = self._c.reshape(self.rows * self.cols, k)
         out = mat_mul_mod(flat, trans, p).reshape(self.rows, self.cols, k)
-        return PolyMatrix(self.field, out)
+        return PolyMatrix(self.field, _trim(out), _normalized=True)
 
     def eval(self, a: int) -> np.ndarray:
         """Constant matrix self(a), by Horner over coefficient slabs."""
@@ -517,10 +542,12 @@ def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 def pm_mul_mod(a: PolyMatrix, b: PolyMatrix, order: int) -> PolyMatrix:
     """(a @ b) mod x^order by truncated coefficient convolution.
 
-    One ``mat_mul_mod`` call per coefficient slab of the shorter factor,
-    against the slabs of the other factor that it meets below ``order``,
-    laid side by side: O(min(ka, kb)) calls doing exactly the slab pairs
-    i + j < order, with no Toeplitz copy of either factor.
+    The factor with fewer slabs goes in blocks of g slabs side by side in
+    reverse order, g * s (s = a.cols) the largest inner size with no more
+    ``mat_mul_mod`` limbs than s (64 // s at p = 2^31 - 1, the whole factor
+    at 1009), one kernel call per block against a no-copy strided view of the
+    other factor's windows, converted to float64 once and zero-padded: each
+    dgemm sums a block's slab products.  A one-slab factor makes one 2-D call.
     """
     if a.field.p != b.field.p:
         raise ModulusMismatch("mixed moduli")
@@ -528,28 +555,30 @@ def pm_mul_mod(a: PolyMatrix, b: PolyMatrix, order: int) -> PolyMatrix:
         raise DimensionMismatch(f"inner dimensions {a.cols} and {b.rows} differ")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    p = a.field.p
-    m, s, n = a.rows, a.cols, b.cols
-    ka, kb = a.coeffs.shape[2], b.coeffs.shape[2]
+    p, ka, kb = a.field.p, a.coeffs.shape[2], b.coeffs.shape[2]
     k = min(order, ka + kb - 1)
     if k == 0 or a.is_zero() or b.is_zero():
-        return PolyMatrix.zeros(a.field, m, n)
-    out = np.zeros((k, m, n), dtype=np.int64)  # slab-major; sums of < k values below p
-    if ka <= kb:
-        wide = np.ascontiguousarray(b.coeffs.transpose(0, 2, 1))  # (s, kb, n)
-        for i in range(min(ka, k)):
-            cnt = min(kb, k - i)
-            if a.coeffs[:, :, i].any():
-                prod = mat_mul_mod(a.coeffs[:, :, i], wide[:, :cnt].reshape(s, cnt * n), p)
-                out[i : i + cnt] += prod.reshape(m, cnt, n).transpose(1, 0, 2)
+        return PolyMatrix.zeros(a.field, a.rows, b.cols)
+    flip = ka > kb  # then x @ y is (a @ b)^T = b^T @ a^T: x has the fewer slabs
+    x, y = (b.coeffs.transpose(1, 0, 2), a.coeffs.transpose(1, 0, 2)) if flip else (a.coeffs, b.coeffs)
+    (r, s, kx), c, ky = x.shape, y.shape[1], y.shape[2]
+    if kx == 1 and not flip:  # against y's slabs side by side
+        out = mat_mul_mod(x[:, :, 0], y[:, :, :k].reshape(s, c * k), p).reshape(r, c, k)
+    elif kx == 1:  # y's slabs stacked against x's one slab
+        out = mat_mul_mod(y[:, :, :k].T.reshape(k * c, s), x[:, :, 0].T, p).reshape(k, c, r).T
     else:
-        tall = np.ascontiguousarray(a.coeffs.transpose(2, 0, 1))  # (ka, m, s)
-        for j in range(min(kb, k)):
-            cnt = min(ka, k - j)
-            if b.coeffs[:, :, j].any():
-                prod = mat_mul_mod(tall[:cnt].reshape(cnt * m, s), b.coeffs[:, :, j], p)
-                out[j : j + cnt] += prod.reshape(cnt, m, n)
-    return PolyMatrix(a.field, out.transpose(1, 2, 0))
+        g = min(kx, k, max(1, _widest(-(-(p - 1).bit_length() // _width(s, p)), p) // s))
+        yf = np.zeros((g - 1 + min(k, ky + g - 1), s, c))  # slab j of y at g - 1 + j
+        yf[g - 1 : g - 1 + min(k, ky)] = y[:, :, :k].transpose(2, 0, 1)
+        out = np.zeros((k, r, c), dtype=np.int64)  # sums of one value below p per block
+        for i0 in range(0, min(kx, k), g):
+            gb = min(g, kx - i0, k - i0)
+            block = x[:, :, i0 : i0 + gb][:, :, ::-1].transpose(0, 2, 1).reshape(r, gb * s)
+            cnt = min(k, i0 + gb - 1 + ky) - i0  # output slab i0 + e meets y's slabs e - gb + 1 .. e
+            windows = np.ndarray((cnt, gb * s, c), np.float64, yf, (g - gb) * yf.strides[0], yf.strides)
+            out[i0 : i0 + cnt] += mat_mul_mod(block, windows, p)
+        out = out.transpose(1, 2, 0)
+    return PolyMatrix(a.field, out.transpose(1, 0, 2) if flip else out)
 
 
 # -- shifted degrees and row reduction --------------------------------

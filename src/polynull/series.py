@@ -8,11 +8,11 @@ da = min(deg A, eta - 1), reading H * A == B at x^k gives
 
 so each slab is fixed exactly by B_k and the slabs before it: H mod
 x^eta is the only solution once A(0) is invertible, and slabs of A past
-eta - 1 never reach an order below eta.  H is kept in reverse slab
-order, so the window H_(k-1), ..., H_(k-da) is one basic slice, laid
-side by side against the S_j stacked once: one kernel call per order,
-of inner size at most da * n.  It returns a plain ``PolyMatrix`` of
-degree below the order the caller supplies.
+eta - 1 never reach an order below eta.  H is kept in float64 in reverse
+slab order, so the window H_(k-1), ..., H_(k-da) is one basic slice,
+against the S_j stacked and cut into limbs once: one dgemm and one join
+mod p per order, on an m x n slab.  It returns a plain
+``PolyMatrix`` of degree below the order the caller supplies.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, ModulusMismatch, SingularAtZero, SingularMatrix
-from .polymat import PolyMatrix, const_inv, mat_mul_mod
+from .polymat import PolyMatrix, _limbs, _mul_limbs, _trim, _width, const_inv, mat_mul_mod
 
 
 def left_quotient_series(b: PolyMatrix, a: PolyMatrix, eta: int) -> PolyMatrix:
@@ -39,14 +39,13 @@ def left_quotient_series(b: PolyMatrix, a: PolyMatrix, eta: int) -> PolyMatrix:
         return PolyMatrix.zeros(b.field, b.rows, a.cols)
     p, m, n = a.field.p, b.rows, a.rows
     da, kb = min(a.coeffs.shape[2] - 1, eta - 1), min(b.coeffs.shape[2], eta)
-    s = mat_mul_mod(a.coeffs[:, :, 1 : da + 1].transpose(2, 0, 1).reshape(da * n, n), inv0, p)
-    s = (p - s) % p  # S_1..S_da stacked
+    s = (p - mat_mul_mod(a.coeffs[:, :, 1 : da + 1].transpose(2, 0, 1).reshape(da * n, n), inv0, p)) % p
     bt = mat_mul_mod(b.coeffs[:, :, :kb].transpose(2, 0, 1).reshape(kb * m, n), inv0, p)
-    out = np.zeros((m, eta, n), dtype=np.int64)  # slab k at position eta - 1 - k
+    out = np.zeros((m, eta, n))  # H in float64, slab k at position eta - 1 - k
     out[:, eta - kb :] = bt.reshape(kb, m, n)[::-1].transpose(1, 0, 2)
-    flat = out.reshape(m, eta * n)
+    width = _width(da * n, p)  # S cut into limbs once
+    cut, h = np.stack(list(_limbs(s, width, p)), axis=1), out.reshape(m, eta * n)
     for k in range(1, eta if da else 1):
-        r, w = eta - 1 - k, min(k, da)
-        out[:, r] += mat_mul_mod(flat[:, (r + 1) * n : (r + 1 + w) * n], s[: w * n], p)
-        out[:, r] %= p
-    return PolyMatrix(a.field, out[:, ::-1].transpose(0, 2, 1))
+        r, w = eta - 1 - k, min(k, da)  # B_k A(0)^-1 + the window's product, both below p: exact in float64
+        out[:, r] = (_mul_limbs(h[:, (r + 1) * n : (r + 1 + w) * n], cut[: w * n], width, p) + out[:, r]) % p
+    return PolyMatrix(a.field, _trim(out[:, ::-1].transpose(0, 2, 1).astype(np.int64)), _normalized=True)

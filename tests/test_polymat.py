@@ -1,5 +1,7 @@
 """Polynomial matrices, constant linear algebra, degree predicates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,28 @@ class TestMatMulMod:
         assert np.array_equal(mat_mul_mod(a, b, p), want)
         want = np.stack([mat_mul_mod(a[0], b[i], p) for i in range(t)])
         assert np.array_equal(mat_mul_mod(a[0], b, p), want)
+
+    @pytest.mark.parametrize("p", [1009, MERSENNE])
+    @pytest.mark.parametrize("k", [5, 65, CHUNK + 1])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_float_operand_equals_its_int64_copy(self, p, k, side):
+        # the float64 operand is three overlapping windows of one buffer, each
+        # starting one row (right) or one column (left) after the last, as
+        # pm_mul_mod's windows do; at 2^31 - 1 the int64 operand is cut into
+        # limbs whichever side has fewer entries, and past CHUNK both are cut
+        # into chunks of the inner size
+        rng = np.random.default_rng([p, k])
+        buf = rng.integers(p - 4, p, size=k + 2 + 2 * k).astype(np.float64)
+        if side == "right":  # (3, k, 2): window t is rows t .. t + k - 1 of a (k + 2) x 2 matrix
+            view = np.ndarray((3, k, 2), np.float64, buf, 0, (16, 16, 8))
+            a = rng.integers(p - 4, p, size=(4, k))
+            got, want = mat_mul_mod(a, view, p), mat_mul_mod(a, view.astype(np.int64), p)
+        else:  # (3, 2, k): window t is columns t .. t + k - 1 of a 2 x (k + 2) matrix
+            view = np.ndarray((3, 2, k), np.float64, buf, 0, (8, 8 * (k + 2), 8))
+            b = rng.integers(p - 4, p, size=(k, 4))
+            got, want = mat_mul_mod(view, b, p), mat_mul_mod(view.astype(np.int64), b, p)
+        assert np.shares_memory(view, buf) and not view.flags.c_contiguous
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
     @pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 3), (2, 3, 0)])
     def test_empty_dimensions(self, field, shape):
@@ -398,13 +422,17 @@ class TestPmMulMod:
 
 @st.composite
 def truncated_products(draw):
-    """(a, b, order): nonzero random factors with whole zero slabs, and orders
-    from 0 to two past the product's length."""
-    p = draw(st.sampled_from((1009, MERSENNE)))  # few zero entries: a lost slab pair shows
+    """(a, b, order): nonzero random factors with whole zero slabs, either one
+    the one with fewer slabs, often a single slab, and orders from 0 to two
+    past the product's length.  At 1009 and 2^31 - 1 few entries are zero, so
+    a lost slab pair shows; at 2, 3 and 7 the whole factor is one block."""
+    p = draw(st.sampled_from((2, 3, 7, 1009, MERSENNE)))
     m, s, n = (draw(st.integers(1, 3)) for _ in range(3))
+    slabs = [draw(st.integers(1, 3)), draw(st.integers(1, 7))]
+    if draw(st.booleans()):
+        slabs.reverse()
     factors = []
-    for rows, cols in ((m, s), (s, n)):
-        k = draw(st.integers(1, 6))
+    for (rows, cols), k in zip(((m, s), (s, n)), slabs):
         size = rows * cols * k
         c = np.array(draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size)))
         c = c.reshape(rows, cols, k)
@@ -424,6 +452,79 @@ def test_windowed_product_against_scalar_polys(case):
     got = pm_mul_mod(a, b, order)
     assert (got.rows, got.cols) == (a.rows, b.cols)
     assert got == want
+
+
+def convolution_reference(a, b, order):
+    """(a @ b) mod x^order slab by slab in Python integers."""
+    ca, cb = a.coeffs.astype(object), b.coeffs.astype(object)
+    out = np.zeros((a.rows, b.cols, order), dtype=object)
+    for i in range(ca.shape[2]):
+        for j in range(min(cb.shape[2], order - i)):
+            out[:, :, i + j] += ca[:, :, i].dot(cb[:, :, j])
+    return PolyMatrix(a.field, (out % a.field.p).astype(np.int64))
+
+
+class TestBlockedWindows:
+    @pytest.mark.parametrize("s", [20, 21, 22, 32, 33, 64, 65])
+    @pytest.mark.parametrize("slabs", [(5, 9), (9, 5), (7, 7)])
+    def test_block_boundaries_against_python_ints(self, s, slabs):
+        # at 2^31 - 1 the factor with fewer slabs goes in blocks of 64 // s
+        # slabs (3, 3, 2, 2, 1, 1 here; at s = 65 a third limb allows 31):
+        # near-top entries make every window's dgemm sum its largest values
+        p = MERSENNE
+        rng = np.random.default_rng([s, *slabs])
+        ca = rng.integers(p - 4, p, size=(3, s, slabs[0]))
+        cb = rng.integers(p - 4, p, size=(s, 2, slabs[1]))
+        ca[:, :, 1] = 0  # a zero slab of a: in the first block, or in the windows where b has fewer
+        a, b = PolyMatrix(FieldSpec(p), ca), PolyMatrix(FieldSpec(p), cb)
+        for order in sorted({1, 4, min(slabs), max(slabs), sum(slabs) - 1, sum(slabs) + 2}):
+            assert pm_mul_mod(a, b, order) == convolution_reference(a, b, order)
+
+    @pytest.mark.parametrize("p, s, g", [(MERSENNE, 1, 64), (MERSENNE, 20, 3), (MERSENNE, 22, 2), (MERSENNE, 33, 1),
+                                         (MERSENNE, 65, 31), (1009, 20, 9)])
+    def test_one_kernel_call_per_block(self, monkeypatch, p, s, g):
+        # 9 slabs by 12: blocks of g slabs, g * s the largest inner size
+        # whose kernel call takes as many limbs as one slab's; at 1009 the
+        # whole factor is one block
+        if p == MERSENNE:
+            limbs = [-(-31 // polymat._width(k * s, p)) for k in (1, g, g + 1)]
+            assert limbs[0] == limbs[1] < limbs[2]
+        calls, kernel = [], polymat.mat_mul_mod
+        monkeypatch.setattr(polymat, "mat_mul_mod", lambda x, y, q: calls.append(x.shape[-1]) or kernel(x, y, q))
+        f = FieldSpec(p)
+        a, b = PolyMatrix(f, np.ones((2, s, 9), dtype=np.int64)), PolyMatrix(f, np.ones((s, 2, 12), dtype=np.int64))
+        want = convolution_reference(a, b, 20)
+        calls.clear()
+        assert pm_mul_mod(a, b, 20) == want
+        assert calls == [min(g, 9 - i) * s for i in range(0, 9, g)]
+
+    def test_window_past_chunk_bound(self):
+        # 1 x 16,449 by 16,449 x 1, two slabs each: one-slab blocks whose
+        # windows have inner size CHUNK + 1, so the kernel cuts them in two
+        p = MERSENNE
+        k = CHUNK + 1
+        rng = np.random.default_rng(16449)
+        a = PolyMatrix(FieldSpec(p), rng.integers(p - 4, p, size=(1, k, 2)))
+        b = PolyMatrix(FieldSpec(p), rng.integers(p - 4, p, size=(k, 1, 2)))
+        for order in (1, 2, 3):
+            assert pm_mul_mod(a, b, order) == convolution_reference(a, b, order)
+
+    def test_compression_product_memory(self):
+        # lift-deep's compression product: 12 x 20 of 140 slabs by 20 x 12 of
+        # 32 slabs at order 140; windows are views, so nothing near the
+        # 8.6 MB of a materialized window stack is allocated
+        p = MERSENNE
+        rng = np.random.default_rng(140)
+        a = PolyMatrix(FieldSpec(p), rng.integers(0, p, size=(12, 20, 140)))
+        b = PolyMatrix(FieldSpec(p), rng.integers(0, p, size=(20, 12, 32)))
+        tracemalloc.start()
+        try:
+            got = pm_mul_mod(a, b, 140)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_500_000, peak  # 1.34 MB when each slab made its own call
+        assert (got.rows, got.cols, got.coeffs.shape[2]) == (12, 12, 140)
 
 
 class TestConstRank:

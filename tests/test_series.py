@@ -16,6 +16,7 @@ from polynull import (
     pm_mul_mod,
     pm_random,
 )
+from polynull import polymat
 from polynull.polymat import const_inv, const_rank
 
 from conftest import make_rng, poly, poly_level_matmul, series_inverse
@@ -173,6 +174,33 @@ def test_lifting_properties(case):
     assert h == pm_mul_mod(b, referee, eta)
 
 
+@st.composite
+def limb_switch_cases(draw):
+    """(a, b, eta) at 2^31 - 1 whose inner size da * n is 64 or just past it:
+    S's limbs are two of 16 bits up to K = 64 and three of 15 bits past it."""
+    field = FieldSpec(2**31 - 1)
+    n = draw(st.sampled_from((1, 2, 3, 4, 8, 16)))
+    da = 64 // n + draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.booleans())  # all entries near p - 1, or uniform
+    low = field.p - 3 if top else 0
+    a = rng.integers(low, field.p, size=(n, n, da + 1))
+    a[:, :, 0] = np.eye(n, dtype=np.int64) + np.triu(rng.integers(0, field.p, size=(n, n)), 1)
+    b = rng.integers(low, field.p, size=(draw(st.integers(1, 3)), n, draw(st.integers(1, da + 2))))
+    eta = da + draw(st.integers(1, 4))
+    return PolyMatrix(field, a), PolyMatrix(field, b), eta
+
+
+@settings(max_examples=30, deadline=None)
+@given(limb_switch_cases())
+def test_lifting_across_limb_switch(case):
+    a, b, eta = case
+    da = a.coeffs.shape[2] - 1
+    width = polymat._width(da * a.rows, a.field.p)
+    assert width == (16 if da * a.rows <= 64 else 15)
+    assert left_quotient_series(b, a, eta) == pm_mul_mod(b, newton_referee(a, eta), eta)
+
+
 def test_lifting_at_workload_scale():
     """lift-deep's lift: B 12 x 20 over A 20 x 20 of degree 32 to order 193.
 
@@ -194,21 +222,27 @@ def test_lifting_at_workload_scale():
     [(5, 3, 4, 12, 14), (3, 4, 9, 5, 2), (0, 2, 3, 6, 1), (2, 3, 0, 7, 3), (4, 2, 2, 1, 3)],
 )
 def test_lifting_kernel_work(monkeypatch, rows, n, deg_a, eta, width):
-    """The S_j (A's slabs clipped below eta), every stored B_k below eta, then
-    one kernel call per order k >= 1 over the last min(k, da) slabs of H."""
+    """Two kernel calls, for the S_j (A's slabs clipped below eta) and every
+    stored B_k below eta, then one product of S's limbs per order k >= 1 over
+    the last min(k, da) slabs of H."""
     field, rng = FieldSpec(1009), make_rng(17)
     a = invertible_at_zero(field, n, deg_a, rng)
     b = PolyMatrix(field, np.ones((rows, n, width), dtype=np.int64))
-    calls = []
+    calls, steps = [], []
     series = sys.modules["polynull.series"]
-    kernel = series.mat_mul_mod
+    kernel, step = series.mat_mul_mod, series._mul_limbs
 
     def counted(x, y, p):
         calls.append(x.shape[0] * x.shape[1] * y.shape[1])
         return kernel(x, y, p)
 
+    def counted_step(x, cut, w, p):
+        steps.append(x.shape[0] * x.shape[1] * cut.shape[2])
+        return step(x, cut, w, p)
+
     monkeypatch.setattr(series, "mat_mul_mod", counted)
+    monkeypatch.setattr(series, "_mul_limbs", counted_step)
     left_quotient_series(b, a, eta)
     da = min(a.coeffs.shape[2] - 1, eta - 1)
-    loop = [rows * min(k, da) * n * n for k in range(1, eta) if da]
-    assert calls == [da * n * n * n, min(width, eta) * rows * n * n] + loop
+    assert calls == [da * n * n * n, min(width, eta) * rows * n * n]
+    assert steps == [rows * min(k, da) * n * n for k in range(1, eta) if da]

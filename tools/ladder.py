@@ -18,7 +18,9 @@ call; for ``nullspace``, ``lifting_s`` is the time inside
 ``left_quotient_series``, ``sigma_basis_s`` the time inside
 ``sigma_basis`` (on older trees each with its continuation) and
 ``certify_s`` the time inside the certificates ``rows_annihilate`` and
-``is_row_reduced``; for ``pm_mul``, ``const_inv_s`` is the time inside
+``is_row_reduced`` and ``products_s`` the time inside ``pm_mul_mod`` (the
+compression, the candidates' left part, the annihilation certificate and
+every product by a constant matrix), on every ``nullspace`` line; for ``pm_mul``, ``const_inv_s`` is the time inside
 ``const_inv``; each summed over the call and the median of three calls.
 On ``nullspace`` lines, ``order_sum`` is the sum of the orders of the
 call's ``sigma_basis`` runs, both passes' orders for a harvest that ran
@@ -42,8 +44,8 @@ in n.
 
 The height rung solves planted m x 24 inputs of degree 4 at rank 2 and 20,
 for m = 48, 96, 192, 384, 480 and 960, and at rank 20 of degree 16 for
-m = 480 and 960 and of degree 32 for m = 480: ``total_s`` and ``certify_s``
-(medians of three), the number of harvests (minimal-vectors calls,
+m = 480 and 960 and of degree 32 for m = 480: ``total_s``, ``certify_s`` and
+``products_s`` (medians of three), the number of harvests (minimal-vectors calls,
 retries included) in the last call and its ``degree_sum``.  On trees that
 split off the degree-0 kernel first, it also prints ``split_rows``, the
 rank s of the coefficient stack (the rows left to the attempts, s = m when
@@ -155,7 +157,7 @@ def main(argv=None) -> int:
     ns = sys.modules["polynull.nullspace"]
     pm = sys.modules["polynull.polymat"]
     acc = {"lifting_s": 0.0, "sigma_basis_s": 0.0, "certify_s": 0.0, "const_inv_s": 0.0, "harvests": 0,
-           "order_sum": 0, "continued": 0, "bases": 0, "split_s": 0.0, "split_rows": 0}
+           "order_sum": 0, "continued": 0, "bases": 0, "split_s": 0.0, "split_rows": 0, "products_s": 0.0}
     ns.left_quotient_series = _timed(ns.left_quotient_series, acc, "lifting_s")
     ns.sigma_basis = _ordered(_timed(ns.sigma_basis, acc, "sigma_basis_s"), acc, "order_sum",
                               lambda g, order, t: order)
@@ -168,6 +170,8 @@ def main(argv=None) -> int:
     ns.rows_annihilate = _timed(ns.rows_annihilate, acc, "certify_s")
     ns.is_row_reduced = _timed(ns.is_row_reduced, acc, "certify_s")
     pm.const_inv = _timed(pm.const_inv, acc, "const_inv_s")
+    # pm_mul's constant-factor path calls pm_mul_mod through polymat's own name
+    ns.pm_mul_mod = pm.pm_mul_mod = _timed(pm.pm_mul_mod, acc, "products_s")
     ns._minimal_vectors_once = _continued(_counted(ns._minimal_vectors_once, acc, "harvests"), acc)
     split = hasattr(ns, "_eliminate")  # older trees run every row through the attempts
     if split:
@@ -198,7 +202,7 @@ def main(argv=None) -> int:
                     "rank": ans.rank, "p": field.p, "d": d}
             extra = {"split_rows": runs[-1]["split_rows"]} if split else {}
             extra.update((key, runs[-1][key]) for key in counts)
-            _print(line, runs, ("total_s", "certify_s") + split_keys,
+            _print(line, runs, ("total_s", "certify_s", "products_s") + split_keys,
                    harvests=runs[-1]["harvests"], order_sum=runs[-1]["order_sum"],
                    continued=runs[-1]["continued"], degree_sum=ans.degree_sum, **extra)
     for d in PRODUCT_DEGREES:
@@ -223,7 +227,7 @@ def _cost_line(polynull, acc: dict, field, rng, line: dict, rows: int, cols: int
     mm_s = statistics.median(r["total_s"] for r in mm_runs)
     line = {"call": "nullspace", **line, "m": rows, "n": cols, "rank": ans.rank, "p": field.p, "d": d}
     total_s = statistics.median(r["total_s"] for r in runs)
-    _print(line, runs, ("total_s", "lifting_s", "sigma_basis_s", "certify_s") + split_keys,
+    _print(line, runs, ("total_s", "lifting_s", "sigma_basis_s", "certify_s", "products_s") + split_keys,
            pm_mul_s=round(mm_s, 4), mm_ratio=round(total_s / mm_s, 1),
            order_sum=runs[-1]["order_sum"], continued=runs[-1]["continued"],
            **{key: runs[-1][key] for key in counts})
