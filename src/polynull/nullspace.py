@@ -153,11 +153,7 @@ def _reconstruction_order(delta: int, d: int, n: int, p: int) -> int:
     # compression the right denominator degree is only bounded by d,
     # so the uncompressed branch needs delta + 2d.  Never drop below
     # delta + 1, where truncation artifacts could pass as annihilators.
-    if p < n:
-        eta = delta + d + _ceil_div(n * d, p)
-    else:
-        eta = delta + 2 * d
-    return max(eta, delta + 1)
+    return max(delta + d + _ceil_div(n * d, p) if p < n else delta + 2 * d, delta + 1)
 
 
 def _minimal_vectors_once(m: PolyMatrix, delta: int, plan: RandomPlan) -> MinimalVectorsResult:

@@ -96,8 +96,14 @@ def _join(prods, w: int, p: int) -> np.ndarray:
     return _reduce(acc, p)
 
 
+def _cut(y: np.ndarray, k: int, p: int) -> tuple[np.ndarray, int]:
+    """int64 ``y`` (K, n) cut once for ``_mul_limbs`` at inner sizes up to k: (K, limbs, n), width."""
+    w = _width(k, p)
+    return np.stack(list(_limbs(y, w, p)), axis=1), w
+
+
 def _mul_limbs(x: np.ndarray, cut: np.ndarray, w: int, p: int) -> np.ndarray:
-    """(x @ y) mod p for float64 residues x (m, K) and y's w-bit limbs in ``cut`` (K, limbs, n):
+    """(x @ y) mod p for float64 residues x (m, K) and y's w-bit limbs in ``cut`` from ``_cut``:
     one dgemm and one join.  K * (2^w - 1) * (p - 1) < 2^53 keeps it exact."""
     return _join((x @ cut.reshape(len(cut), -1)).reshape(len(x), *cut.shape[1:]).transpose(1, 0, 2), w, p)
 
@@ -359,13 +365,8 @@ class PolyMatrix:
             return NotImplemented
         if self.field.p != other.field.p or (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        ka, kb = self._c.shape[2], other._c.shape[2]
-        k = max(ka, kb)
-        a = np.zeros((self.rows, self.cols, k), dtype=np.int64)
-        b = np.zeros_like(a)
-        a[:, :, :ka] = self._c
-        b[:, :, :kb] = other._c
-        return bool(np.array_equal(a, b))
+        a, b, k = self._c, other._c, min(self._c.shape[2], other._c.shape[2])  # slabs past k must be zero
+        return bool(np.array_equal(a[:, :, :k], b[:, :, :k]) and not (a[:, :, k:].any() or b[:, :, k:].any()))
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.rows}x{self.cols}, degree={self._degree}, p={self.field.p})"
@@ -542,12 +543,13 @@ def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 def pm_mul_mod(a: PolyMatrix, b: PolyMatrix, order: int) -> PolyMatrix:
     """(a @ b) mod x^order by truncated coefficient convolution.
 
-    The factor with fewer slabs goes in blocks of g slabs side by side in
-    reverse order, g * s (s = a.cols) the largest inner size with no more
-    ``mat_mul_mod`` limbs than s (64 // s at p = 2^31 - 1, the whole factor
-    at 1009), one kernel call per block against a no-copy strided view of the
-    other factor's windows, converted to float64 once and zero-padded: each
-    dgemm sums a block's slab products.  A one-slab factor makes one 2-D call.
+    The factor with fewer slabs goes in blocks of g slabs side by side in reverse
+    order, g * s (s = a.cols) the largest inner size with no more ``mat_mul_mod``
+    limbs than s (64 // s at p = 2^31 - 1, the whole factor at 1009): one kernel
+    call per block against a no-copy strided view of the other factor's windows,
+    in float64 and zero-padded, so each dgemm sums a block's slab products.  A
+    one-slab factor makes one 2-D call, as does each r x s slab once r * s >= 1024 * c
+    for c-column windows, whose dgemms would each repack the r x g*s block.
     """
     if a.field.p != b.field.p:
         raise ModulusMismatch("mixed moduli")
@@ -566,8 +568,12 @@ def pm_mul_mod(a: PolyMatrix, b: PolyMatrix, order: int) -> PolyMatrix:
         out = mat_mul_mod(x[:, :, 0], y[:, :, :k].reshape(s, c * k), p).reshape(r, c, k)
     elif kx == 1:  # y's slabs stacked against x's one slab
         out = mat_mul_mod(y[:, :, :k].T.reshape(k * c, s), x[:, :, 0].T, p).reshape(k, c, r).T
-    else:
-        g = min(kx, k, max(1, _widest(-(-(p - 1).bit_length() // _width(s, p)), p) // s))
+    elif r * s >= c << 10:  # tall slabs against narrow windows: one call per slab of x, side by side
+        out = np.zeros((r, c, k), dtype=np.int64)
+        for i in range(min(kx, k)):  # the slices clip both to min(ky, k - i) slabs
+            out[:, :, i : i + ky] += mat_mul_mod(x[..., i], y[..., : k - i].reshape(s, -1), p).reshape(r, c, -1)
+    else:  # limbs of one slab as the kernel counts them, _MAX_LIMBS a chunk past its chunk bound
+        g = min(kx, k, max(1, _widest(min(_MAX_LIMBS, -(-(p - 1).bit_length() // _width(s, p))), p) // s))
         yf = np.zeros((g - 1 + min(k, ky + g - 1), s, c))  # slab j of y at g - 1 + j
         yf[g - 1 : g - 1 + min(k, ky)] = y[:, :, :k].transpose(2, 0, 1)
         out = np.zeros((k, r, c), dtype=np.int64)  # sums of one value below p per block

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, ModulusMismatch, SingularAtZero, SingularMatrix
-from .polymat import PolyMatrix, _limbs, _mul_limbs, _trim, _width, const_inv, mat_mul_mod
+from .polymat import PolyMatrix, _cut, _mul_limbs, _trim, const_inv, mat_mul_mod
 
 
 def left_quotient_series(b: PolyMatrix, a: PolyMatrix, eta: int) -> PolyMatrix:
@@ -43,8 +43,7 @@ def left_quotient_series(b: PolyMatrix, a: PolyMatrix, eta: int) -> PolyMatrix:
     bt = mat_mul_mod(b.coeffs[:, :, :kb].transpose(2, 0, 1).reshape(kb * m, n), inv0, p)
     out = np.zeros((m, eta, n))  # H in float64, slab k at position eta - 1 - k
     out[:, eta - kb :] = bt.reshape(kb, m, n)[::-1].transpose(1, 0, 2)
-    width = _width(da * n, p)  # S cut into limbs once
-    cut, h = np.stack(list(_limbs(s, width, p)), axis=1), out.reshape(m, eta * n)
+    (cut, width), h = _cut(s, da * n, p), out.reshape(m, eta * n)  # S cut into limbs once
     for k in range(1, eta if da else 1):
         r, w = eta - 1 - k, min(k, da)  # B_k A(0)^-1 + the window's product, both below p: exact in float64
         out[:, r] = (_mul_limbs(h[:, (r + 1) * n : (r + 1 + w) * n], cut[: w * n], width, p) + out[:, r]) % p

@@ -422,13 +422,14 @@ class TestPmMulMod:
 
 @st.composite
 def truncated_products(draw):
-    """(a, b, order): nonzero random factors with whole zero slabs, either one
-    the one with fewer slabs, often a single slab, and orders from 0 to two
-    past the product's length.  At 1009 and 2^31 - 1 few entries are zero, so
-    a lost slab pair shows; at 2, 3 and 7 the whole factor is one block."""
+    """(a, b, order): nonzero random factors with whole zero slabs, 1 to 6
+    slabs on one side (often a single slab) and 1 to 7 on the other, in either
+    orientation, and orders from 0 to two past the product's length.  At 1009
+    and 2^31 - 1 few entries are zero, so a lost slab pair shows; at 2, 3 and
+    7 the whole factor is one block."""
     p = draw(st.sampled_from((2, 3, 7, 1009, MERSENNE)))
     m, s, n = (draw(st.integers(1, 3)) for _ in range(3))
-    slabs = [draw(st.integers(1, 3)), draw(st.integers(1, 7))]
+    slabs = [draw(st.one_of(st.just(1), st.integers(1, 6))), draw(st.integers(1, 7))]
     if draw(st.booleans()):
         slabs.reverse()
     factors = []
@@ -498,16 +499,50 @@ class TestBlockedWindows:
         assert pm_mul_mod(a, b, 20) == want
         assert calls == [min(g, 9 - i) * s for i in range(0, 9, g)]
 
-    def test_window_past_chunk_bound(self):
-        # 1 x 16,449 by 16,449 x 1, two slabs each: one-slab blocks whose
-        # windows have inner size CHUNK + 1, so the kernel cuts them in two
+    @pytest.mark.parametrize("n, windows", [(1, False), (17, True)])
+    def test_past_chunk_bound(self, monkeypatch, n, windows):
+        # 1 x 16,449 by 16,449 x n, two slabs each: one slab takes five 7-bit
+        # limbs, so the kernel cuts its inner size at CHUNK, and blocks are of
+        # one slab.  At n = 1 the slabs are tall (16,449 >= 1024 * n) and each
+        # makes one 2-D call; at n = 17 each block's windows cross the bound
         p = MERSENNE
         k = CHUNK + 1
+        assert -(-31 // polymat._width(k, p)) == 5 and polymat._widest(4, p) == CHUNK
         rng = np.random.default_rng(16449)
         a = PolyMatrix(FieldSpec(p), rng.integers(p - 4, p, size=(1, k, 2)))
-        b = PolyMatrix(FieldSpec(p), rng.integers(p - 4, p, size=(k, 1, 2)))
+        b = PolyMatrix(FieldSpec(p), rng.integers(p - 4, p, size=(k, n, 2)))
+        calls, kernel = [], polymat.mat_mul_mod  # the kernel's own calls on chunks are not pm_mul_mod's
+
+        def counted(x, y, q):
+            if x.shape[-1] == k:
+                calls.append(y.shape)
+            return kernel(x, y, q)
+
+        monkeypatch.setattr(polymat, "mat_mul_mod", counted)
         for order in (1, 2, 3):
+            calls.clear()
             assert pm_mul_mod(a, b, order) == convolution_reference(a, b, order)
+            cnt = [min(2, order - i) for i in range(min(2, order))]
+            assert calls == [(c, k, n) if windows else (k, c * n) for c in cnt]
+
+    @pytest.mark.parametrize("p", [1009, MERSENNE])
+    @pytest.mark.parametrize("r, s, tall", [(32, 32, True), (33, 31, False), (40, 26, True)])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_tall_slabs_one_call_per_slab(self, monkeypatch, p, r, s, tall, flip):
+        # r x s slabs of the factor with fewer slabs (3) against 1-column
+        # windows (5 slabs): from r * s = 1024 on, one call per slab, each of
+        # inner size s; below it, blocks (one at 1009, of 2 slabs at 2^31 - 1)
+        rng = np.random.default_rng([p, r, s, flip])
+        x, y = rng.integers(p - 4, p, size=(r, s, 3)), rng.integers(p - 4, p, size=(s, 1, 5))
+        ca, cb = (y.transpose(1, 0, 2), x.transpose(1, 0, 2)) if flip else (x, y)
+        a, b = PolyMatrix(FieldSpec(p), ca), PolyMatrix(FieldSpec(p), cb)
+        calls, kernel = [], polymat.mat_mul_mod
+        monkeypatch.setattr(polymat, "mat_mul_mod", lambda u, v, q: calls.append(u.shape[-1]) or kernel(u, v, q))
+        for order in (2, 3, 5, 7, 8):
+            calls.clear()
+            assert pm_mul_mod(a, b, order) == convolution_reference(a, b, order)
+            g = 3 if not tall and p == 1009 else 1 if tall else 2
+            assert calls == [min(g, 3 - i, order - i) * s for i in range(0, min(3, order), g)]
 
     def test_compression_product_memory(self):
         # lift-deep's compression product: 12 x 20 of 140 slabs by 20 x 12 of
@@ -725,6 +760,18 @@ class TestEntrywiseOps:
         m = pm_random(4, 3, 3, field, rng)
         expected = max(m.poly(i, j).degree for i in range(4) for j in range(3))
         assert m.degree == expected
+
+    def test_equality_across_slab_counts(self, field):
+        # a tensor with trailing zero slabs equals its trimmed matrix; a
+        # nonzero slab past the other side's last one makes them differ,
+        # on either side of ==
+        c = np.zeros((2, 2, 4), dtype=np.int64)
+        c[:, :, :2] = [[[1, 2], [3, 0]], [[0, 0], [5, 6]]]
+        short = PolyMatrix(field, c[:, :, :2].copy(), _normalized=True)
+        assert PolyMatrix(field, c.copy(), _normalized=True) == short
+        c[1, 0, 3] = 7
+        longer = PolyMatrix(field, c.copy(), _normalized=True)
+        assert longer != short and short != longer
 
 
 class TestEvaluationRank:
